@@ -10,8 +10,8 @@ Format::
 
     [[allow]]
     rules = ["RL101"]
-    path = "src/repro/broker/sharded.py"
-    symbol = "ShardedBroker.subscribe"
+    path = "src/repro/broker/core.py"
+    symbol = "BrokerCore.subscribe"
     reason = "registration is serialized under the registry RLock; ..."
 """
 

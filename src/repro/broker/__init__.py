@@ -1,12 +1,6 @@
 """Publish/subscribe middleware substrate hosting the thematic matcher."""
 
-from repro.broker.broker import (
-    BrokerMetrics,
-    Delivery,
-    SubscriberHandle,
-    ThematicBroker,
-    dispatch_delivery,
-)
+from repro.broker.broker import BrokerMetrics, Delivery, ThematicBroker
 from repro.broker.config import BrokerConfig
 from repro.broker.durability import (
     BrokerDurability,
@@ -57,8 +51,6 @@ __all__ = [
     "ShardedBroker",
     "SimulatedCrash",
     "SizeBalancedSharding",
-    "SubscriberHandle",
     "ThematicBroker",
     "ThreadedBroker",
-    "dispatch_delivery",
 ]

@@ -1,229 +1,33 @@
-"""A thematic publish/subscribe broker node.
+"""Inline broker front-end: ``publish`` dispatches on the caller's thread.
 
-The broker realizes the three classic decoupling dimensions of Figure 1
-around the thematic matcher:
-
-* **space** — publishers and subscribers only ever talk to the broker;
-  neither knows the other exists;
-* **time** — the broker keeps a bounded replay buffer, so a subscriber
-  that arrives late can be caught up on recent events on request;
-* **synchronization** — deliveries go to per-subscriber inbox queues;
-  publishing never blocks on consumption and consumers drain their
-  inbox whenever they choose (callbacks are optional).
-
-The fourth dimension — **semantics** — is the paper's contribution: the
-matcher is pluggable, so the same broker runs content-based (exact),
-non-thematic approximate, or thematic matching.
-
-Delivery is fault-tolerant: every subscriber callback runs under the
-broker's :class:`~repro.broker.reliability.DeliveryPolicy` (deadline,
-bounded retries with backoff, per-subscriber circuit breaker) and
-exhausted deliveries land in a drainable dead-letter queue instead of
-vanishing — see :mod:`repro.broker.reliability`.
+:class:`ThematicBroker` is the synchronous ingress over
+:class:`~repro.broker.core.BrokerCore` — one shard, one event per
+dispatch, no queue and no thread: when ``publish`` returns, the event
+has been matched and every delivery has reached its inbox or the
+dead-letter queue.
 """
 
 from __future__ import annotations
 
-import logging
-from collections import deque
-from collections.abc import Callable
-from dataclasses import dataclass, field
-
-from repro._compat import warn_deprecated
-from repro.broker.config import (
-    ENGINE_KWARGS,
-    BrokerConfig,
-    config_from_legacy,
-    engine_config,
-)
-from repro.broker.durability import BrokerDurability
-from repro.broker.reliability import (
-    DeadLetterQueue,
-    DeadLetterRecord,
-    DeliveryPolicy,
-    ReliableDelivery,
-)
-from repro.core.engine import SubscriptionHandle, ThematicEventEngine
+from repro.broker.config import BrokerConfig
+from repro.broker.core import BrokerCore, BrokerMetrics, Delivery
+from repro.core.engine import ThematicEventEngine
 from repro.core.events import Event
-from repro.core.matcher import MatchResult, ThematicMatcher
-from repro.core.subscriptions import Subscription
+from repro.core.matcher import ThematicMatcher
 from repro.obs import TRACER, MetricsRegistry
 from repro.obs.clock import Clock
-from repro.obs.context import TraceContext
 
-__all__ = [
-    "BrokerMetrics",
-    "Delivery",
-    "SubscriberHandle",
-    "ThematicBroker",
-    "dispatch_delivery",
-]
-
-logger = logging.getLogger(__name__)
+__all__ = ["BrokerMetrics", "Delivery", "ThematicBroker"]
 
 
-class BrokerMetrics:
-    """Registry-backed operational counters, exposed for tests and benches.
+class ThematicBroker(BrokerCore):
+    """Single broker node, synchronous ingress.
 
-    Historically five bare ints mutated in place — racy once the broker
-    moved matching onto a worker thread. Counters now live in a
-    :class:`~repro.obs.registry.MetricsRegistry` (one per broker by
-    default, or a shared one passed in), so increments are thread-safe
-    and :meth:`snapshot` gives readers a coherent, JSON-ready view. The
-    old attribute reads (``metrics.published`` …) still work.
-    """
-
-    FIELDS = ("published", "evaluations", "deliveries", "replayed",
-              "callback_errors")
-
-    def __init__(
-        self, registry: MetricsRegistry | None = None, *, prefix: str = "broker"
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.prefix = prefix
-        self._counters = {
-            name: self.registry.counter(f"{prefix}.{name}") for name in self.FIELDS
-        }
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        self._counters[name].inc(amount)
-
-    def snapshot(self) -> dict[str, int]:
-        """Thread-safe point-in-time view of all counters."""
-        return {name: counter.value for name, counter in self._counters.items()}
-
-    @property
-    def published(self) -> int:
-        return self._counters["published"].value
-
-    @property
-    def evaluations(self) -> int:
-        return self._counters["evaluations"].value
-
-    @property
-    def deliveries(self) -> int:
-        return self._counters["deliveries"].value
-
-    @property
-    def replayed(self) -> int:
-        return self._counters["replayed"].value
-
-    @property
-    def callback_errors(self) -> int:
-        return self._counters["callback_errors"].value
-
-
-@dataclass(frozen=True)
-class Delivery:
-    """One matched event delivered to one subscriber."""
-
-    result: MatchResult
-    sequence: int
-    #: Causal trace context of the publish that produced this delivery;
-    #: carried so retry attempts, breaker rejections, and dead-letter
-    #: records downstream all share the event's trace id. Excluded from
-    #: equality so pre-tracing tests comparing deliveries still hold.
-    trace: TraceContext | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def event(self) -> Event:
-        return self.result.event
-
-    @property
-    def score(self) -> float:
-        return self.result.score
-
-
-class SubscriberHandle(SubscriptionHandle):
-    """Deprecated alias for the unified
-    :class:`~repro.core.engine.SubscriptionHandle`.
-
-    The engine and the brokers used to carry two separate handle types;
-    they are now one. Constructing this alias still works (accepting the
-    old ``subscriber_id`` keyword) but emits a
-    :class:`DeprecationWarning`; brokers return plain
-    :class:`~repro.core.engine.SubscriptionHandle` objects.
-    """
-
-    def __init__(
-        self,
-        subscriber_id: int,
-        subscription: Subscription,
-        inbox: deque | None = None,
-        callback: Callable[[Delivery], None] | None = None,
-        policy: DeliveryPolicy | None = None,
-    ) -> None:
-        warn_deprecated(
-            "SubscriberHandle is deprecated; use "
-            "repro.core.engine.SubscriptionHandle"
-        )
-        super().__init__(
-            id=subscriber_id,
-            subscription=subscription,
-            policy=policy,
-            callback=callback,
-            inbox=inbox if inbox is not None else deque(),
-        )
-
-
-def dispatch_delivery(
-    metrics: BrokerMetrics, handle: SubscriptionHandle, delivery: Delivery
-) -> None:
-    """Deprecated pre-reliability terminal delivery step.
-
-    Counts the delivery, appends to the subscriber's inbox, and guards
-    the optional callback — but with no retries, no dead letters, and no
-    deadline. Kept for one release; the brokers now dispatch through
-    :class:`~repro.broker.reliability.ReliableDelivery`. Unlike the old
-    version, a callback failure is at least logged with its stack trace.
-    """
-    warn_deprecated(
-        "dispatch_delivery is deprecated; dispatch through "
-        "ReliableDelivery.dispatch"
-    )
-    with TRACER.span("broker.deliver"):
-        metrics.inc("deliveries")
-        handle.append(delivery)
-        if handle.callback is not None:
-            try:
-                handle.callback(delivery)
-            except Exception:
-                metrics.inc("callback_errors")
-                logger.exception(
-                    "subscriber %d callback failed (delivery seq %d)",
-                    handle.id,
-                    delivery.sequence,
-                )
-
-
-class ThematicBroker:
-    """Single broker node hosting a matcher and a subscription registry.
-
-    Parameters
-    ----------
-    matcher:
-        Any :class:`~repro.core.api.MatchEngine` implementation
-        (``match``/``matches``/``score``/``match_batch``/``threshold``).
-    config:
-        A :class:`~repro.broker.config.BrokerConfig`; this front-end
-        reads ``replay_capacity``, ``delivery``, ``degraded``, and
-        ``dead_letter_capacity``. The legacy ``replay_capacity=``
-        keyword still works with a :class:`DeprecationWarning`.
-    registry:
-        Metrics registry backing the broker's counters; defaults to a
-        private one so broker instances never share state by accident.
-        The embedded dispatch engine and the reliability layer share
-        it, so one snapshot covers ``broker.*``, ``engine.*``, and
-        ``reliability.*`` counters alike.
-    clock:
-        Time source for delivery deadlines/backoff and the degraded-mode
-        budget; injectable for the fault harness.
-
-    Publish-side matching runs through an embedded
-    :class:`~repro.core.engine.ThematicEventEngine`: one staged
-    ``match_batch`` per published event over all registered
-    subscriptions, with the loss-free prefilter pruning provably
-    unmatchable pairs before semantic scoring.
+    Reads ``replay_capacity``, ``delivery``, ``degraded``,
+    ``dead_letter_capacity``, ``durability`` and the engine-facing
+    fields of its :class:`~repro.broker.config.BrokerConfig`. One
+    registry snapshot covers ``broker.*``, ``engine.*``,
+    ``reliability.*`` and ``durability.*`` counters alike.
     """
 
     def __init__(
@@ -233,289 +37,21 @@ class ThematicBroker:
         *,
         registry: MetricsRegistry | None = None,
         clock: Clock | None = None,
-        **legacy: object,
     ) -> None:
-        self.config = config_from_legacy(
-            config, ("replay_capacity",) + ENGINE_KWARGS, legacy
-        )
-        self.matcher = matcher
-        self.metrics = BrokerMetrics(registry)
-        self.engine = ThematicEventEngine(
-            matcher,
-            engine_config(self.config),
-            registry=self.metrics.registry,
-            clock=clock,
-        )
-        self.dead_letters = DeadLetterQueue(self.config.dead_letter_capacity)
-        # Constructing the journal *is* recovery: an existing directory
-        # is replayed into durability.state before the broker accepts
-        # any work (durability.report is None on a pristine directory).
-        self.durability: BrokerDurability | None = None
-        if self.config.durability is not None:
-            self.durability = BrokerDurability(
-                self.config.durability,
-                replay_capacity=self.config.replay_capacity,
-                registry=self.metrics.registry,
-                clock=clock,
-            )
-            self.dead_letters.on_drain = self.durability.log_dlq_drain
-        self.reliability = ReliableDelivery(
-            self.metrics,
-            policy=self.config.delivery,
-            dead_letters=self.dead_letters,
-            clock=clock,
-            durability=self.durability,
-        )
-        self._subscribers: dict[int, SubscriptionHandle] = {}
-        self._engine_handles: dict[int, object] = {}
-        self._replay: deque[tuple[int, Event]] = deque(
-            maxlen=self.config.replay_capacity
-        )
-        self._next_id = 0
-        self._sequence = 0
-        # Sequence number and trace context stamped onto deliveries of
-        # the event currently flowing through the engine (set by publish
-        # before dispatch).
-        self._publishing_sequence = -1
-        self._publishing_ctx: TraceContext | None = None
-        #: Handles restored from the journal, by original subscriber id.
-        #: Callbacks are not journaled (they are code); a recovering
-        #: application reattaches them here before ``recover_pending``.
-        self.recovered: dict[int, SubscriptionHandle] = {}
-        self._pending_recovery: list[tuple[int, Event]] = []
-        if self.durability is not None and self.durability.report is not None:
-            self._restore()
+        super().__init__(matcher, config, shards=1, registry=registry, clock=clock)
 
-    # -- subscriber side ---------------------------------------------------
+    @property
+    def engine(self) -> ThematicEventEngine:
+        """The one shard's engine (stats, degraded-mode controls)."""
+        return self._executor.engines[0]
 
-    def subscribe(
-        self,
-        subscription: Subscription,
-        callback: Callable[[Delivery], None] | None = None,
-        *,
-        replay: bool = False,
-        policy: DeliveryPolicy | None = None,
-    ) -> SubscriptionHandle:
-        """Register a subscription; optionally replay buffered events.
+    def publish(self, event: Event) -> int:
+        """Match ``event`` against all subscriptions and deliver; returns
+        the match count.
 
-        With ``replay=True`` the retained events are matched against the
-        new subscription immediately (time decoupling: consumers need
-        not be active when producers fire). ``policy`` overrides the
-        broker-wide delivery policy for this subscriber alone.
-
-        The handle's ``id`` is assigned here (registration order) and
-        its :attr:`~repro.core.engine.SubscriptionHandle.key` is a
-        stable, serializable function of ``(id, subscription)`` — the
-        identity durable journals use across restarts.
+        This span is the root of the event's trace, and every delivery
+        of the event carries its context.
         """
-        handle = self._register(subscription, callback, policy)
-        if replay:
-            for sequence, event in list(self._replay):
-                result = self._evaluate(subscription, event)
-                if result is not None:
-                    self.metrics.inc("replayed")
-                    ctx = TRACER.mint_trace()
-                    with TRACER.root_span("broker.replay", ctx):
-                        self._deliver(
-                            handle,
-                            Delivery(result=result, sequence=sequence, trace=ctx),
-                        )
-        return handle
-
-    def unsubscribe(self, handle: SubscriptionHandle) -> bool:
-        if handle.id not in self._subscribers:
-            return False
-        if self.durability is not None:
-            # Write-ahead: journal the removal before applying it. The
-            # unknown-id early return above keeps this the *only* path
-            # to the mutation, so the journal record always precedes it
-            # (RL700: the log call must dominate the state change).
-            self.durability.log_unsubscribe(handle.id)
-        engine_handle = self._engine_handles.pop(handle.id, None)
-        if engine_handle is not None:
-            self.engine.unsubscribe(engine_handle)
-        del self._subscribers[handle.id]
-        return True
-
-    def subscriber_count(self) -> int:
-        return len(self._subscribers)
-
-    # -- publisher side ----------------------------------------------------
-
-    def publish(self, event: Event, *, trace: TraceContext | None = None) -> int:
-        """Match ``event`` against all subscriptions; returns the match
-        count.
-
-        Dispatch is one staged ``match_batch`` over the registration
-        snapshot (see :class:`~repro.core.engine.ThematicEventEngine`);
-        ``evaluations`` still counts every (subscription, event) pair
-        considered, pruned or not. A matched delivery whose callback
-        exhausts its retry budget is dead-lettered, not dropped — the
-        return value counts matches, ``metrics.deliveries`` counts
-        deliveries that reached an inbox.
-
-        ``trace`` is the event's causal context when a front-end broker
-        (threaded ingress) minted one at enqueue time; left ``None``, a
-        fresh context is minted here. Either way this span is the trace
-        root and every delivery of the event carries the context.
-        """
-        ctx = trace if trace is not None else TRACER.mint_trace()
+        ctx = TRACER.mint_trace()
         with TRACER.root_span("broker.publish", ctx):
-            self.metrics.inc("published")
-            sequence = self._sequence
-            self._sequence += 1
-            if self.durability is not None:
-                # Write-ahead: the event is durable (redo record) before
-                # any matching or delivery can observe it.
-                self.durability.log_publish(sequence, event)
-            self._replay.append((sequence, event))
-            self.metrics.inc("evaluations", self.engine.subscription_count())
-            self._publishing_sequence = sequence
-            self._publishing_ctx = ctx
-            matched = len(self.engine.process(event))
-            if self.durability is not None:
-                # Every delivery of this event has reached its terminal
-                # state; the journal can forget the in-flight entry.
-                self.durability.log_done(sequence)
-            return matched
-
-    # -- durability ----------------------------------------------------------
-
-    def recover_pending(self) -> int:
-        """Re-dispatch events that were in flight at the crash.
-
-        A ``pub`` record without a matching ``done`` means the event was
-        published but its dispatch never completed. Re-running dispatch
-        is safe because the idempotency keys suppress every delivery
-        that already reached an inbox or the dead-letter queue before
-        the crash — only the unfinished remainder runs. Call after
-        reattaching callbacks to the :attr:`recovered` handles; returns
-        the number of events re-dispatched.
-        """
-        pending = self._pending_recovery
-        self._pending_recovery = []
-        for sequence, event in pending:
-            ctx = TRACER.mint_trace()
-            with TRACER.root_span("broker.recover", ctx):
-                self.metrics.inc("evaluations", self.engine.subscription_count())
-                self._publishing_sequence = sequence
-                self._publishing_ctx = ctx
-                self.engine.process(event)
-            if self.durability is not None:
-                self.durability.log_done(sequence)
-        return len(pending)
-
-    def close(self) -> None:
-        """Flush and close the journal (no-op without durability)."""
-        if self.durability is not None:
-            self.durability.close()
-
-    def _restore(self) -> None:
-        """Rebuild broker state from the recovered journal mirror."""
-        durability = self.durability
-        assert durability is not None
-        state = durability.state
-        for sub_id, key, subscription, policy in state.subscription_entries():
-            handle = self._register(
-                subscription, None, policy, sub_id=sub_id, key=key, log=False
-            )
-            self.recovered[sub_id] = handle
-        # Undrained inbox cursors: re-derive each Delivery by matching
-        # the journaled event against the subscription — deterministic,
-        # so the restored inbox equals the lost one.
-        for sub_id, sequences in state.live_entries():
-            handle = self._subscribers.get(sub_id)
-            if handle is None:
-                continue
-            for sequence in sequences:
-                event = state.event(sequence)
-                result = (
-                    self.engine.match_one(handle.subscription, event)
-                    if event is not None
-                    else None
-                )
-                if result is None:
-                    durability.note_restore_miss()
-                    continue
-                handle.append(Delivery(result=result, sequence=sequence))
-        for entry in state.dead_letter_entries():
-            sub_id = int(entry["id"])
-            sequence = int(entry["seq"])
-            handle = self._subscribers.get(sub_id)
-            event = state.event(sequence)
-            result = (
-                self.engine.match_one(handle.subscription, event)
-                if handle is not None and event is not None
-                else None
-            )
-            if result is None:
-                durability.note_restore_miss()
-                continue
-            self.dead_letters.append(
-                DeadLetterRecord(
-                    delivery=Delivery(result=result, sequence=sequence),
-                    subscriber_id=sub_id,
-                    reason=str(entry["reason"]),
-                    attempts=int(entry["attempts"]),
-                    error=entry.get("error"),
-                    timestamp=str(entry.get("timestamp") or ""),
-                    trace_id=entry.get("trace_id"),
-                )
-            )
-        self._replay.extend(state.ring_entries())
-        self._sequence = state.next_sequence
-        self._next_id = max(self._next_id, state.next_id)
-        self._pending_recovery = state.pending_entries()
-
-    # -- internals -----------------------------------------------------------
-
-    def _register(
-        self,
-        subscription: Subscription,
-        callback: Callable[[Delivery], None] | None,
-        policy: DeliveryPolicy | None,
-        *,
-        sub_id: int | None = None,
-        key: str = "",
-        log: bool = True,
-    ) -> SubscriptionHandle:
-        """Create + wire one handle (fresh subscribe or journal restore)."""
-        if sub_id is None:
-            sub_id = self._next_id
-        handle = SubscriptionHandle(
-            id=sub_id,
-            subscription=subscription,
-            policy=policy,
-            callback=callback,
-            key=key,
-        )
-        durability = self.durability
-        if durability is not None:
-            handle.on_drain = lambda count, _id=sub_id: durability.log_drain(
-                _id, count
-            )
-            if log:
-                # Write-ahead: the registration is durable before it can
-                # observe any event.
-                durability.log_subscribe(handle)
-        self._subscribers[sub_id] = handle
-        self._engine_handles[sub_id] = self.engine.subscribe(
-            subscription,
-            lambda result, _handle=handle: self._deliver(
-                _handle,
-                Delivery(
-                    result=result,
-                    sequence=self._publishing_sequence,
-                    trace=self._publishing_ctx,
-                ),
-            ),
-        )
-        self._next_id = max(self._next_id, sub_id + 1)
-        return handle
-
-    def _evaluate(self, subscription: Subscription, event: Event) -> MatchResult | None:
-        self.metrics.inc("evaluations")
-        return self.engine.match_one(subscription, event)
-
-    def _deliver(self, handle: SubscriptionHandle, delivery: Delivery) -> None:
-        self.reliability.dispatch(handle, delivery)
+            return self._dispatch([event], [ctx])

@@ -1,38 +1,21 @@
 """Typed construction config shared by every broker front-end.
 
-The three brokers grew their knobs one keyword argument at a time —
-``replay_capacity`` here, ``max_batch``/``linger``/``workers`` there —
-until constructing a broker meant memorizing which front-end accepts
-which subset. :class:`BrokerConfig` is the single typed, frozen,
-documented home for all of them; each front-end reads the fields it
+:class:`BrokerConfig` is the single typed, frozen, documented home for
+every broker construction knob; each front-end reads the fields it
 uses and ignores the rest, so one config object can describe a whole
 deployment and be passed to any broker class.
-
-The old keyword arguments still work for one release through
-:func:`config_from_legacy` (each use emits a
-:class:`DeprecationWarning`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._compat import config_from_kwargs
 from repro.broker.durability import DurabilityPolicy
 from repro.broker.reliability import DeliveryPolicy
 from repro.core.degrade import DegradedPolicy
 from repro.core.engine import EngineConfig
 
-__all__ = ["BrokerConfig", "config_from_legacy", "engine_config"]
-
-#: The engine-facing knobs every broker front-end forwards verbatim; the
-#: legacy-kwarg shims accept them too.
-ENGINE_KWARGS = (
-    "prefilter_mode",
-    "ann_recall_target",
-    "score_store_path",
-    "warm_on_start",
-)
+__all__ = ["BrokerConfig", "engine_config"]
 
 
 @dataclass(frozen=True)
@@ -118,29 +101,13 @@ class BrokerConfig:
     warm_on_start: bool = False
 
 
-def config_from_legacy(
-    config: BrokerConfig | None, allowed: tuple[str, ...], legacy: dict
-) -> BrokerConfig:
-    """Resolve a broker's ``(config, **legacy_kwargs)`` pair.
-
-    ``allowed`` names the legacy keywords this front-end historically
-    accepted; anything else raises :class:`TypeError` immediately (the
-    typo would otherwise vanish into the shim). Legacy keys overlay the
-    given (or default) config via :func:`dataclasses.replace`; each use
-    emits the consolidated :mod:`repro._compat` deprecation warning.
-    """
-    return config_from_kwargs(
-        config, BrokerConfig(), allowed, legacy, scope="broker", stacklevel=4
-    )
-
-
 def engine_config(config: BrokerConfig, **overrides) -> EngineConfig:
     """The :class:`~repro.core.engine.EngineConfig` a broker embeds.
 
     Forwards every engine-facing broker knob (degraded policy plus the
     sublinear-matching surface) so all front-ends derive their engines
     the same way; ``overrides`` layer front-end specifics on top (the
-    sharded broker's private pipeline and shard span tags).
+    multi-shard layout's private pipelines and shard span tags).
     """
     fields = dict(
         degraded=config.degraded,

@@ -37,7 +37,7 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
-    from repro.broker.broker import Delivery
+    from repro.broker.core import Delivery
     from repro.broker.durability import BrokerDurability
 
 __all__ = [

@@ -1,12 +1,12 @@
 """Process-pool shard execution over a shared, zero-copy semantic space.
 
-The thread-based :class:`~repro.broker.sharded.ShardedBroker` layout is
-GIL-bound: shard engines score in pure Python, so four threads buy
+The in-process shard layout (:class:`~repro.broker.shards.EngineShards`)
+is GIL-bound: shard engines score in pure Python, so four threads buy
 little. This module supplies the process-backed alternative behind the
-same sharding seam — ``BrokerConfig(executor="process")`` keeps the
-bounded ingress, micro-batching, globally ordered merge and delivery
-semantics of the sharded broker, but each shard's matching runs in its
-own **spawned worker process**:
+same :class:`~repro.broker.shards.ShardExecutor` surface —
+``BrokerConfig(executor="process")`` keeps the broker core's ingress,
+micro-batching, globally ordered merge and delivery semantics, but each
+shard's matching runs in its own **spawned worker process**:
 
 * the parent writes the space's columnar arrays once to a versioned
   binary snapshot (:func:`~repro.semantics.persistence.save_columnar`)
@@ -50,12 +50,14 @@ import os
 import tempfile
 import threading
 import traceback
+from collections.abc import Sequence
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from typing import Any
 
 import numpy as np
 
+from repro.broker.shards import ShardSlot, Survivor
 from repro.core.degrade import DegradedPolicy
 from repro.core.engine import EngineConfig, ThematicEventEngine
 from repro.core.events import Event
@@ -166,12 +168,6 @@ def spec_from_matcher(
     )
 
 
-def _no_dispatch(result: object) -> None:  # pragma: no cover - guard rail
-    raise RuntimeError(
-        "shard workers must not dispatch; survivors return to the parent"
-    )
-
-
 def _worker_main(conn: Connection, spec: WorkerSpec) -> None:
     """Worker entrypoint: attach the space, serve match commands."""
     try:
@@ -214,10 +210,7 @@ def _worker_main(conn: Connection, spec: WorkerSpec) -> None:
         conn.close()
         return
     conn.send(("ok", None))
-    # Insertion-ordered, mirroring the engine's registration snapshot:
-    # position i in handles.values() is registration index i.
     handles: dict[int, object] = {}
-    threshold = matcher.threshold
     while True:
         try:
             message = conn.recv()
@@ -231,7 +224,7 @@ def _worker_main(conn: Connection, spec: WorkerSpec) -> None:
                 return
             if op == "subscribe":
                 _, order, subscription = message
-                handles[order] = engine.subscribe(subscription, _no_dispatch)
+                handles[order] = engine.subscribe(subscription, ShardSlot(order))
                 conn.send(("ok", None))
             elif op == "unsubscribe":
                 _, order = message
@@ -241,28 +234,15 @@ def _worker_main(conn: Connection, spec: WorkerSpec) -> None:
                 conn.send(("ok", None))
             elif op == "match":
                 _, events = message
-                registrations, batch = engine.snapshot_batch(
-                    events, deliverable_only=True
-                )
-                survivors: list[tuple[int, int, tuple[int, ...], bytes]] = []
-                if batch is not None:
-                    orders = list(handles)
-                    for index in range(len(registrations)):
-                        for j in range(len(events)):
-                            result = batch.result(index, j)
-                            if result is not None and result.is_match(
-                                threshold
-                            ):
-                                engine.stats.inc("deliveries")
-                                scores = result.matrix.scores
-                                survivors.append(
-                                    (
-                                        orders[index],
-                                        j,
-                                        scores.shape,
-                                        scores.tobytes(),
-                                    )
-                                )
+                survivors = [
+                    (
+                        slot.order,
+                        j,
+                        result.matrix.scores.shape,
+                        result.matrix.scores.tobytes(),
+                    )
+                    for j, slot, result in engine.survivors(events)
+                ]
                 conn.send(("ok", survivors))
             elif op == "snapshot":
                 conn.send(("ok", engine.stats.registry.snapshot()))
@@ -317,6 +297,9 @@ class ProcessShardExecutor:
     ``close`` cannot interleave with a straggling call.
     """
 
+    #: The shard engines live in the workers, not in this process.
+    engines: Sequence[ThematicEventEngine] = ()
+
     def __init__(
         self,
         matcher: ThematicMatcher,
@@ -347,6 +330,7 @@ class ProcessShardExecutor:
         ctx = multiprocessing.get_context("spawn")
         self._lock = threading.RLock()
         self._counts = [0] * shards
+        self._subscriptions: dict[int, Subscription] = {}
         self._procs: list[Any] = []
         self._conns: list[Connection] = []
         self._closed = False
@@ -410,12 +394,14 @@ class ProcessShardExecutor:
             self._ensure_open()
             self._call(shard_index, ("subscribe", order, subscription))
             self._counts[shard_index] += 1
+            self._subscriptions[order] = subscription
 
     def unsubscribe(self, shard_index: int, order: int) -> None:
         with self._lock:
             self._ensure_open()
             self._call(shard_index, ("unsubscribe", order))
             self._counts[shard_index] -= 1
+            self._subscriptions.pop(order, None)
 
     def move(
         self,
@@ -444,8 +430,8 @@ class ProcessShardExecutor:
         """Fan one micro-batch out to every active worker.
 
         Returns threshold survivors as ``(order, event index, matrix)``
-        across all shards, unordered — the broker's merge sorts by
-        subscriber order per event.
+        across all shards, unordered; :meth:`deliverable` rebuilds the
+        results.
         """
         with self._lock:
             self._ensure_open()
@@ -485,12 +471,25 @@ class ProcessShardExecutor:
         """Parent-side result reconstruction for one survivor."""
         return _result_from_matrix(self.matcher, subscription, event, matrix)
 
+    def deliverable(self, events: list[Event]) -> list[Survivor]:
+        """:meth:`match_batch` with every survivor's result rebuilt here,
+        against the parent's own subscription and event objects."""
+        survivors = []
+        for order, j, matrix in self.match_batch(events):
+            result = self.build_result(
+                self._subscriptions[order], events[j], matrix
+            )
+            if result is not None:
+                survivors.append((order, j, result))
+        return survivors
+
     def match_one(
-        self, subscription: Subscription, event: Event
+        self, subscription: Subscription, event: Event, *, shard: int = 0
     ) -> MatchResult | None:
         """Parent-side replay match (same kernel, same arrays as workers).
 
-        Does not consult worker degraded state — replay of a handful of
+        Whatever its ``shard``, the pair never reaches a worker, so it
+        does not consult worker degraded state — replay of a handful of
         retained events runs on the parent's healthy path by design.
         """
         result = self.matcher.match(subscription, event)

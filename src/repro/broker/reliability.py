@@ -29,7 +29,7 @@ both, never neither — under any injected fault
    is **at-least-once**: a non-idempotent consumer should subscribe
    with ``policy=DeliveryPolicy.no_retry()`` (or set a broker-wide
    single-attempt default). The inbox append likewise moved to
-   *after* a successful callback — the legacy ``dispatch_delivery``
+   *after* a successful callback — the pre-reliability dispatch
    appended before invoking it, so a failing callback used to leave
    the delivery in the inbox where it is now dead-lettered.
 
@@ -69,7 +69,7 @@ from repro.obs.clock import MONOTONIC_CLOCK, Clock, iso_time, wall_time
 from repro.obs.flightrec import trigger_dump
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.broker.broker import BrokerMetrics, Delivery
+    from repro.broker.core import BrokerMetrics, Delivery
     from repro.broker.durability import BrokerDurability
     from repro.core.engine import SubscriptionHandle
 

@@ -1,174 +1,31 @@
 """Sharded parallel broker: subscription shards + ingress micro-batching.
 
-:class:`~repro.broker.threaded.ThreadedBroker` decouples producers from
-matching but still dequeues one event at a time and runs the whole
-subscription snapshot through a single engine. :class:`ShardedBroker`
-is the scale-out layout content-based brokers use (the SIENA-style
-partitioning echoed in the paper's prior work): the subscription set is
-partitioned into N shards, each shard owns a private staged pipeline
-(so per-shard term-pair dedup and compiled subscriptions persist without
-cross-shard locking), and the ingress queue drains in adaptive
-micro-batches — one delivery-gated ``match_batch`` call per
-(event-batch × shard).
-
-Three properties the tests pin down:
-
-* **Parity.** Deliveries — the set, the per-subscriber order, the
-  sequence stamps, and every score — are bit-identical to publishing
-  the same events through the serial
-  :class:`~repro.broker.broker.ThematicBroker`. The serial path is the
-  deliberately-boring reference oracle; the sharded path earns its
-  throughput from the pipeline's delivery-gated batch mode (full
-  mapping enumeration only for threshold survivors) plus batch
-  amortization of per-event overhead, never from semantic shortcuts.
-* **Backpressure.** The ingress queue is bounded; ``publish`` blocks
-  when matching falls behind instead of growing memory without bound.
-* **Losslessness.** ``publish`` after ``close`` raises ``RuntimeError``;
-  a publish that won its race against ``close`` is still delivered by
-  ``close``'s leftover drain. Events are never silently dropped.
-
-Shard assignment is pluggable: :class:`HashSharding` (stable modulo
-placement, no rebalancing) or :class:`SizeBalancedSharding` (least-
-loaded placement, shards rebalanced whenever unsubscribes leave them
-more than one subscription apart). Delivery order is decided by each
-subscriber's global registration order, not by shard-internal order, so
-rebalancing is invisible to subscribers.
+:class:`ShardedBroker` is the queue-fed ingress
+(:class:`~repro.broker.ingress.QueuedBroker`) at scale-out settings —
+the layout content-based brokers use (the SIENA-style partitioning
+echoed in the paper's prior work): the subscription set is partitioned
+into ``config.shards`` shards (see :mod:`repro.broker.shards`) and the
+ingress queue drains in adaptive micro-batches of up to
+``config.max_batch`` events, one delivery-gated ``match_batch`` per
+(event-batch x shard).
 """
 
 from __future__ import annotations
 
-import os
-import queue
-import threading
-from collections import deque
-from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Any
-
-from repro.broker.broker import BrokerMetrics, Delivery
-from repro.broker.config import (
-    ENGINE_KWARGS,
-    BrokerConfig,
-    config_from_legacy,
-    engine_config,
-)
-from repro.broker.durability import BrokerDurability, SimulatedCrash
-from repro.broker.ingress import STOP, collect_batch, wait_until_drained
-from repro.broker.procshard import ProcessShardExecutor
-from repro.broker.reliability import (
-    DeadLetterQueue,
-    DeadLetterRecord,
-    DeliveryPolicy,
-    ReliableDelivery,
-)
-from repro.core.engine import SubscriptionHandle, ThematicEventEngine
-from repro.core.events import Event
+from repro.broker.config import BrokerConfig
+from repro.broker.ingress import QueuedBroker
+from repro.broker.shards import HashSharding, SizeBalancedSharding
 from repro.core.matcher import ThematicMatcher
-from repro.core.subscriptions import Subscription
-from repro.obs import TRACER, MetricsRegistry
-from repro.obs.clock import MONOTONIC_CLOCK, Clock
-from repro.obs.context import TraceContext
-from repro.obs.registry import merge_snapshots
+from repro.obs import MetricsRegistry
+from repro.obs.clock import Clock
 
 __all__ = ["HashSharding", "ShardedBroker", "SizeBalancedSharding"]
 
 
-class HashSharding:
-    """Stable modulo placement: subscriber id mod shard count.
-
-    Placement never depends on current loads, so a subscription's shard
-    is reproducible from its id alone and unsubscribes never move other
-    subscriptions around.
-    """
-
-    name = "hash"
-
-    def assign(self, subscriber_id: int, loads: Sequence[int]) -> int:
-        return subscriber_id % len(loads)
-
-    def rebalance(self, loads: Sequence[int]) -> list[tuple[int, int]]:
-        return []
-
-
-class SizeBalancedSharding:
-    """Least-loaded placement with rebalancing on shrink.
-
-    ``assign`` picks the smallest shard (lowest index wins ties), and
-    after an unsubscribe ``rebalance`` moves subscriptions from the
-    largest to the smallest shard until the spread is at most one — so
-    long-lived brokers with churn keep near-equal per-shard batch cost.
-    """
-
-    name = "size"
-
-    def assign(self, subscriber_id: int, loads: Sequence[int]) -> int:
-        return min(range(len(loads)), key=loads.__getitem__)
-
-    def rebalance(self, loads: Sequence[int]) -> list[tuple[int, int]]:
-        loads = list(loads)
-        moves: list[tuple[int, int]] = []
-        while True:
-            source = max(range(len(loads)), key=loads.__getitem__)
-            target = min(range(len(loads)), key=loads.__getitem__)
-            if loads[source] - loads[target] <= 1:
-                return moves
-            moves.append((source, target))
-            loads[source] -= 1
-            loads[target] += 1
-
-
-_STRATEGIES = {
-    HashSharding.name: HashSharding,
-    SizeBalancedSharding.name: SizeBalancedSharding,
-}
-
-
-class _ShardSink:
-    """Engine callback slot carrying a subscriber's global order + handle.
-
-    The sharded broker never lets shard engines dispatch (merging takes
-    the batch results instead, so deliveries can be ordered globally and
-    stamped with their sequence); registrations carry this object purely
-    so the merge can read the subscriber from the engine's own snapshot.
-    """
-
-    __slots__ = ("order", "handle")
-
-    def __init__(self, order: int, handle: SubscriptionHandle) -> None:
-        self.order = order
-        self.handle = handle
-
-    def __call__(self, result: object) -> None:  # pragma: no cover - guard rail
-        raise RuntimeError(
-            "shard engines must not dispatch directly; "
-            "deliveries go through the broker's ordered merge"
-        )
-
-
-@dataclass
-class _Shard:
-    """One subscription shard: a private engine over a private registry."""
-
-    index: int
-    registry: MetricsRegistry
-    engine: ThematicEventEngine
-
-
-@dataclass
-class _Entry:
-    """Broker-side registration record for one subscriber."""
-
-    handle: SubscriptionHandle
-    sink: _ShardSink
-    shard_index: int
-    engine_handle: object
-
-
-class ShardedBroker:
+class ShardedBroker(QueuedBroker):
     """Parallel broker: sharded subscriptions, micro-batched ingress.
 
-    Usage mirrors :class:`~repro.broker.threaded.ThreadedBroker`::
+    Usage::
 
         broker = ShardedBroker(matcher, BrokerConfig(shards=4, max_batch=32))
         handle = broker.subscribe(subscription)
@@ -177,41 +34,10 @@ class ShardedBroker:
         deliveries = handle.drain()
         broker.close()
 
-    Parameters
-    ----------
-    matcher:
-        Any :class:`~repro.core.api.MatchEngine`. Matchers exposing
-        ``new_pipeline`` (the :class:`~repro.core.matcher.ThematicMatcher`
-        family) get one private staged pipeline per shard; others are
-        called through their own ``match_batch``, which must then be
-        safe to call concurrently.
-    config:
-        A :class:`~repro.broker.config.BrokerConfig`; this front-end
-        reads ``shards``, ``strategy``, ``max_batch``, ``linger``,
-        ``workers``, ``replay_capacity``, ``max_queue``, ``delivery``,
-        ``degraded``, ``dead_letter_capacity``, and ``executor``. The
-        legacy keyword arguments still work with a
-        :class:`DeprecationWarning`.
-
-        With ``executor="process"`` the shard engines live in spawned
-        worker processes attached zero-copy to a shared columnar
-        snapshot of the semantic space
-        (:class:`~repro.broker.procshard.ProcessShardExecutor`); the
-        matcher must score through the vectorized kernel. Delivery
-        semantics (global order, sequence stamps, replay,
-        reliability/DLQ) are identical to the thread executor.
-    registry:
-        Broker-level metrics registry (each shard engine keeps its own;
-        see :meth:`metrics_snapshot`).
-    clock:
-        Time source for delivery deadlines/backoff and the degraded-mode
-        budget; injectable for the fault harness.
+    Reads every field of its :class:`~repro.broker.config.BrokerConfig`.
     """
 
-    _LEGACY_KWARGS = (
-        "shards", "strategy", "max_batch", "linger", "workers",
-        "replay_capacity", "max_queue",
-    ) + ENGINE_KWARGS
+    thread_name = "sharded-broker"
 
     def __init__(
         self,
@@ -220,655 +46,9 @@ class ShardedBroker:
         *,
         registry: MetricsRegistry | None = None,
         clock: Clock | None = None,
-        **legacy: object,
     ) -> None:
-        self.config = config_from_legacy(config, self._LEGACY_KWARGS, legacy)
-        config = self.config
-        if config.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if config.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        strategy = config.strategy
-        if isinstance(strategy, str):
-            try:
-                strategy = _STRATEGIES[strategy]()
-            except KeyError:
-                raise ValueError(
-                    f"unknown shard strategy {strategy!r} "
-                    f"(expected one of {sorted(_STRATEGIES)})"
-                ) from None
-        self.matcher = matcher
-        self.metrics = BrokerMetrics(registry)
-        self.dead_letters = DeadLetterQueue(config.dead_letter_capacity)
-        # Constructing the journal *is* recovery (see ThematicBroker);
-        # it must exist before the reliability layer and before the
-        # dispatcher thread starts.
-        self.durability: BrokerDurability | None = None
-        if config.durability is not None:
-            self.durability = BrokerDurability(
-                config.durability,
-                replay_capacity=config.replay_capacity,
-                registry=self.metrics.registry,
-                clock=clock,
-            )
-            self.dead_letters.on_drain = self.durability.log_dlq_drain
-        self.reliability = ReliableDelivery(
-            self.metrics,
-            policy=config.delivery,
-            dead_letters=self.dead_letters,
-            clock=clock,
-            durability=self.durability,
+        config = config if config is not None else BrokerConfig()
+        super().__init__(
+            matcher, config, shards=config.shards, max_batch=config.max_batch,
+            linger=config.linger, registry=registry, clock=clock,
         )
-        self._strategy = strategy
-        self._clock = clock if clock is not None else MONOTONIC_CLOCK
-        self._max_batch = config.max_batch
-        self._linger = config.linger
-        if config.executor not in ("thread", "process"):
-            raise ValueError(
-                f"unknown executor {config.executor!r} "
-                "(expected 'thread' or 'process')"
-            )
-        self._proc: ProcessShardExecutor | None = None
-        self._pool: ThreadPoolExecutor | None = None
-        if config.executor == "process":
-            if config.prefilter_mode != "exact" or config.score_store_path:
-                # The worker protocol ships only the columnar snapshot;
-                # threading the anchor index and score store through it
-                # is future work, so reject loudly instead of silently
-                # dropping the knobs in the workers.
-                raise ValueError(
-                    "prefilter_mode/score_store_path are not supported "
-                    "with executor='process' yet; use the thread executor"
-                )
-            self._shards: list[_Shard] = []
-            self._workers = config.shards
-            self._proc = ProcessShardExecutor(
-                matcher,
-                shards=config.shards,
-                degraded=config.degraded,
-                clock=self._clock,
-                registry=self.metrics.registry,
-            )
-        else:
-            self._shards = [
-                _Shard(
-                    index=index,
-                    registry=(shard_registry := MetricsRegistry()),
-                    engine=ThematicEventEngine(
-                        matcher,
-                        engine_config(
-                            config,
-                            private_pipeline=True,
-                            span_tags={"shard": index},
-                        ),
-                        registry=shard_registry,
-                        clock=clock,
-                    ),
-                )
-                for index in range(config.shards)
-            ]
-            workers = config.workers
-            if workers is None:
-                workers = min(config.shards, os.cpu_count() or 1)
-            self._workers = max(1, workers)
-            self._pool = (
-                ThreadPoolExecutor(
-                    max_workers=self._workers, thread_name_prefix="shard-worker"
-                )
-                if self._workers > 1 and config.shards > 1
-                else None
-            )
-        registry_ = self.metrics.registry
-        self._queue_wait = registry_.histogram("broker.queue_wait_seconds")
-        self._batch_size = registry_.histogram("broker.batch_size")
-        self._queue_depth = registry_.gauge("broker.queue_depth")
-        self._queue: queue.Queue = queue.Queue(maxsize=config.max_queue)
-        # Guards the registration tables and the replay ring. Deliveries
-        # are dispatched *after* it is released (lock-scope rule RL100:
-        # user callbacks may re-enter subscribe/unsubscribe/publish).
-        # Reentrant so nested registration paths (_move_one) stay cheap.
-        self._reg_lock = threading.RLock()
-        self._entries: dict[int, _Entry] = {}
-        self._next_id = 0
-        self._sequence = 0  # dispatcher-thread only
-        self._replay: deque[tuple[int, Event]] = deque(
-            maxlen=config.replay_capacity
-        )
-        self._closed = False
-        self._close_lock = threading.Lock()
-        #: Handles restored from the journal, by original subscriber id
-        #: (callbacks are code, not data — reattach them here before
-        #: ``recover_pending``).
-        self.recovered: dict[int, SubscriptionHandle] = {}
-        self._pending_recovery: list[tuple[int, Event]] = []
-        if self.durability is not None and self.durability.report is not None:
-            self._restore()
-        self._dispatcher = threading.Thread(
-            target=self._run, name="sharded-broker", daemon=True
-        )
-        self._dispatcher.start()
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is STOP:
-                self._queue.task_done()
-                return
-            batch, saw_stop = collect_batch(
-                self._queue, item, self._max_batch, self._linger
-            )
-            try:
-                self._process_batch(batch)
-            except SimulatedCrash:
-                # A scripted broker death (fault injection): the
-                # dispatcher dies like the process would, silently —
-                # the journal's ``crashed`` flag is the record. The
-                # finally below still runs task_done so flush stays
-                # truthful.
-                return
-            except Exception:  # pragma: no cover - defensive
-                # A matching failure must not kill the dispatcher (and
-                # with it flush/close); the batch's task_done below keeps
-                # flush truthful, and the counter makes the loss visible.
-                self.metrics.registry.counter("broker.batch_errors").inc()
-            finally:
-                for _ in batch:
-                    self._queue.task_done()
-                if saw_stop:
-                    self._queue.task_done()
-            if saw_stop:
-                return
-
-    def close(self) -> None:
-        """Drain everything queued, stop the dispatcher, stop the pool.
-
-        Like :meth:`ThreadedBroker.close`, events that raced past the
-        closed check and landed behind the stop sentinel are processed
-        inline before returning — closed-broker publishes either raise
-        or deliver, never disappear.
-        """
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._queue.put(STOP)
-        self._dispatcher.join()
-        leftovers = []
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            leftovers.append(item)
-        events = [item for item in leftovers if item is not STOP]
-        try:
-            if events:
-                for start in range(0, len(events), self._max_batch):
-                    self._process_batch(events[start:start + self._max_batch])
-        finally:
-            for _ in leftovers:
-                self._queue.task_done()
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-            if self._proc is not None:
-                self._proc.close()
-            if self.durability is not None:
-                self.durability.close()
-
-    def __enter__(self) -> "ShardedBroker":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- producer side -----------------------------------------------------
-
-    def publish(self, event: Event) -> None:
-        """Enqueue an event; blocks only when the bounded queue is full.
-
-        Raises ``RuntimeError`` after :meth:`close` — silently dropping
-        events would hide producer bugs.
-        """
-        if self._closed:
-            raise RuntimeError("broker is closed")
-        # The root span of the event's trace is the enqueue itself; the
-        # ingress wait, the batch match (a *linked* batch trace), and
-        # every delivery attempt hang off this context downstream.
-        ctx = TRACER.mint_trace()
-        with TRACER.root_span("broker.publish", ctx):
-            self._queue.put((self._clock.monotonic(), event, ctx))
-
-    def flush(self, timeout: float | None = None) -> bool:
-        """Block until every queued event is matched *and* delivered.
-
-        Returns False if ``timeout`` elapsed first; never leaks a waiter
-        thread (see :func:`~repro.broker.ingress.wait_until_drained`).
-        """
-        return wait_until_drained(self._queue, timeout)
-
-    def pending(self) -> int:
-        """Events queued but not yet dispatched (approximate)."""
-        return self._queue.qsize()
-
-    # -- subscriber side ---------------------------------------------------
-
-    def subscribe(
-        self,
-        subscription: Subscription,
-        callback: Callable[[Delivery], None] | None = None,
-        *,
-        replay: bool = False,
-        policy: DeliveryPolicy | None = None,
-    ) -> SubscriptionHandle:
-        """Register a subscription on a shard chosen by the strategy.
-
-        ``policy`` overrides the broker-wide delivery policy for this
-        subscriber alone.
-        """
-        replayed: list[Delivery] = []
-        with self._reg_lock:
-            handle, shard_index = self._register_entry(
-                subscription, callback, policy
-            )
-            if replay:
-                for sequence, event in list(self._replay):
-                    self.metrics.inc("evaluations")
-                    if self._proc is not None:
-                        result = self._proc.match_one(subscription, event)
-                    else:
-                        result = self._shards[shard_index].engine.match_one(
-                            subscription, event
-                        )
-                    if result is not None:
-                        self.metrics.inc("replayed")
-                        replayed.append(
-                            Delivery(
-                                result=result,
-                                sequence=sequence,
-                                trace=TRACER.mint_trace(),
-                            )
-                        )
-        # Dispatch with the lock released: callbacks are user code and may
-        # re-enter the broker (RL100). The handle is already registered,
-        # so replayed deliveries keep their position before any batch the
-        # dispatcher matches afterwards.
-        for delivery in replayed:
-            with TRACER.root_span("broker.replay", delivery.trace):
-                self.reliability.dispatch(handle, delivery)
-        return handle
-
-    def _register_entry(
-        self,
-        subscription: Subscription,
-        callback: Callable[[Delivery], None] | None,
-        policy: DeliveryPolicy | None,
-        *,
-        order: int | None = None,
-        key: str = "",
-        log: bool = True,
-    ) -> tuple[SubscriptionHandle, int]:
-        """Create + shard-place one registration (``_reg_lock`` held).
-
-        ``order``/``key``/``log=False`` is the journal-restore path:
-        the original subscriber id and stable key are preserved and the
-        registration is not re-journaled.
-        """
-        if order is None:
-            order = self._next_id
-        self._next_id = max(self._next_id, order + 1)
-        handle = SubscriptionHandle(
-            id=order,
-            subscription=subscription,
-            policy=policy,
-            callback=callback,
-            key=key,
-        )
-        durability = self.durability
-        if durability is not None:
-            handle.on_drain = lambda count, _id=order: durability.log_drain(
-                _id, count
-            )
-            if log:
-                # Write-ahead: the registration is durable before it can
-                # observe any event.
-                durability.log_subscribe(handle)
-        loads = self._loads()
-        shard_index = self._strategy.assign(order, loads)
-        if not 0 <= shard_index < len(loads):
-            raise ValueError(
-                f"strategy assigned shard {shard_index} "
-                f"outside [0, {len(loads)})"
-            )
-        sink = _ShardSink(order, handle)
-        engine_handle: object = None
-        if self._proc is not None:
-            self._proc.subscribe(shard_index, order, subscription)
-        else:
-            engine_handle = self._shards[shard_index].engine.subscribe(
-                subscription, sink
-            )
-        self._entries[order] = _Entry(
-            handle=handle,
-            sink=sink,
-            shard_index=shard_index,
-            engine_handle=engine_handle,
-        )
-        return handle, shard_index
-
-    def unsubscribe(self, handle: SubscriptionHandle) -> bool:
-        with self._reg_lock:
-            if self.durability is not None and handle.id in self._entries:
-                # Write-ahead: journal the removal before applying it.
-                self.durability.log_unsubscribe(handle.id)
-            entry = self._entries.pop(handle.id, None)
-            if entry is None:
-                return False
-            if self._proc is not None:
-                self._proc.unsubscribe(entry.shard_index, handle.id)
-            else:
-                self._shards[entry.shard_index].engine.unsubscribe(
-                    entry.engine_handle
-                )
-            for source, target in self._strategy.rebalance(self._loads()):
-                self._move_one(source, target)
-            return True
-
-    def subscriber_count(self) -> int:
-        with self._reg_lock:
-            return len(self._entries)
-
-    def shard_sizes(self) -> list[int]:
-        """Current subscription count per shard."""
-        with self._reg_lock:
-            return self._loads()
-
-    # -- durability --------------------------------------------------------
-
-    def _match_restored(self, entry: _Entry, event: Event) -> Any:
-        """Deterministically re-match one journaled event for one entry."""
-        if self._proc is not None:
-            return self._proc.match_one(entry.handle.subscription, event)
-        return self._shards[entry.shard_index].engine.match_one(
-            entry.handle.subscription, event
-        )
-
-    def _restore(self) -> None:
-        """Rebuild broker state from the recovered journal mirror."""
-        durability = self.durability
-        assert durability is not None
-        state = durability.state
-        with self._reg_lock:
-            for order, key, subscription, policy in state.subscription_entries():
-                handle, _ = self._register_entry(
-                    subscription, None, policy, order=order, key=key, log=False
-                )
-                self.recovered[order] = handle
-            for order, sequences in state.live_entries():
-                entry = self._entries.get(order)
-                if entry is None:
-                    continue
-                for sequence in sequences:
-                    event = state.event(sequence)
-                    result = (
-                        self._match_restored(entry, event)
-                        if event is not None
-                        else None
-                    )
-                    if result is None:
-                        durability.note_restore_miss()
-                        continue
-                    entry.handle.append(Delivery(result=result, sequence=sequence))
-            for record in state.dead_letter_entries():
-                order = int(record["id"])
-                sequence = int(record["seq"])
-                entry = self._entries.get(order)
-                event = state.event(sequence)
-                result = (
-                    self._match_restored(entry, event)
-                    if entry is not None and event is not None
-                    else None
-                )
-                if result is None:
-                    durability.note_restore_miss()
-                    continue
-                self.dead_letters.append(
-                    DeadLetterRecord(
-                        delivery=Delivery(result=result, sequence=sequence),
-                        subscriber_id=order,
-                        reason=str(record["reason"]),
-                        attempts=int(record["attempts"]),
-                        error=record.get("error"),
-                        timestamp=str(record.get("timestamp") or ""),
-                        trace_id=record.get("trace_id"),
-                    )
-                )
-            self._replay.extend(state.ring_entries())
-            self._sequence = state.next_sequence
-            self._pending_recovery = state.pending_entries()
-
-    def recover_pending(self) -> int:
-        """Re-dispatch events that were in flight at the crash.
-
-        Matching runs under the registration lock, deliveries dispatch
-        after it is released (RL100), and the idempotency keys suppress
-        every delivery that already reached a terminal state before the
-        crash. Call after reattaching callbacks to :attr:`recovered`;
-        returns the number of events re-dispatched.
-        """
-        pending_events = self._pending_recovery
-        self._pending_recovery = []
-        for sequence, event in pending_events:
-            ctx = TRACER.mint_trace()
-            deliveries: list[tuple[SubscriptionHandle, Delivery]] = []
-            with TRACER.root_span("broker.recover", ctx), self._reg_lock:
-                self.metrics.inc("evaluations", len(self._entries))
-                for order in sorted(self._entries):
-                    entry = self._entries[order]
-                    result = self._match_restored(entry, event)
-                    if result is not None:
-                        deliveries.append(
-                            (
-                                entry.handle,
-                                Delivery(
-                                    result=result, sequence=sequence, trace=ctx
-                                ),
-                            )
-                        )
-            for handle, delivery in deliveries:
-                self.reliability.dispatch(handle, delivery)
-            if self.durability is not None:
-                self.durability.log_done(sequence)
-        return len(pending_events)
-
-    # -- observability -----------------------------------------------------
-
-    def metrics_snapshot(self) -> dict:
-        """Broker-level view plus per-shard registries and their merge.
-
-        ``shards`` holds each shard registry's own snapshot (percentiles
-        intact); ``engine_totals`` aggregates them — counters and gauges
-        summed, histogram count/sum/min/max merged — via
-        :func:`~repro.obs.registry.merge_snapshots`.
-        """
-        snapshot = self.metrics.snapshot()
-        snapshot["queue_wait"] = self._queue_wait.summary()
-        snapshot["batch_size"] = self._batch_size.summary()
-        snapshot["pending"] = self.pending()
-        if self._proc is not None:
-            shard_snapshots = self._proc.shard_snapshots()
-            snapshot["shards"] = {
-                f"shard{index}": shard_snapshot
-                for index, shard_snapshot in enumerate(shard_snapshots)
-            }
-        else:
-            shard_snapshots = [
-                shard.registry.snapshot() for shard in self._shards
-            ]
-            snapshot["shards"] = {
-                f"shard{shard.index}": shard_snapshot
-                for shard, shard_snapshot in zip(
-                    self._shards, shard_snapshots, strict=True
-                )
-            }
-        snapshot["engine_totals"] = merge_snapshots(shard_snapshots)["counters"]
-        return snapshot
-
-    # -- internals ---------------------------------------------------------
-
-    def _loads(self) -> list[int]:
-        if self._proc is not None:
-            return self._proc.loads()
-        return [shard.engine.subscription_count() for shard in self._shards]
-
-    def _move_one(self, source: int, target: int) -> None:
-        """Move the most recently registered subscription off ``source``.
-
-        Global delivery order rides on each sink's ``order``, not on
-        shard-internal registration order, so the move is invisible to
-        subscribers.
-        """
-        for entry in reversed(self._entries.values()):
-            if entry.shard_index == source:
-                if self._proc is not None:
-                    self._proc.move(
-                        entry.handle.id, source, target,
-                        entry.handle.subscription,
-                    )
-                else:
-                    self._shards[source].engine.unsubscribe(entry.engine_handle)
-                    entry.engine_handle = self._shards[target].engine.subscribe(
-                        entry.handle.subscription, entry.sink
-                    )
-                entry.shard_index = target
-                return
-
-    def _snapshot_shard(
-        self, shard: _Shard, events: list[Event], ctx: TraceContext | None
-    ) -> Any:
-        """Run one shard's batch match with the batch trace active.
-
-        Pool workers are fresh threads with no thread-local context;
-        re-activating the batch context here keeps the per-shard engine
-        spans inside the batch's trace instead of orphaning them.
-        """
-        with TRACER.activate(ctx):
-            return shard.engine.snapshot_batch(events, deliverable_only=True)
-
-    def _process_batch(
-        self, batch: list[tuple[float, Event, TraceContext | None]]
-    ) -> None:
-        """Match one micro-batch across all shards and merge deliveries."""
-        started = self._clock.monotonic()
-        events = []
-        contexts: list[TraceContext | None] = []
-        for enqueued_at, event, ctx in batch:
-            self._queue_wait.record(started - enqueued_at)
-            TRACER.record_span("broker.ingress.wait", ctx, enqueued_at, started)
-            events.append(event)
-            contexts.append(ctx)
-        self._batch_size.record(len(batch))
-        self._queue_depth.set(self._queue.qsize())
-        pending: list[tuple[SubscriptionHandle, Delivery]] = []
-        # A micro-batch serves many events at once, so it gets its own
-        # trace; the member events' traces are referenced through the
-        # OTel-style ``links`` attribute rather than a fake parent edge.
-        batch_ctx = TRACER.mint_trace()
-        links = [ctx.trace_id for ctx in contexts if ctx is not None]
-        with TRACER.root_span(
-            "broker.match_batch", batch_ctx, events=len(events), links=links
-        ), self._reg_lock:
-            self.metrics.inc("published", len(events))
-            total_subscribers = len(self._entries)
-            self.metrics.inc("evaluations", total_subscribers * len(events))
-            sequences = []
-            for event in events:
-                sequences.append(self._sequence)
-                if self.durability is not None:
-                    # Write-ahead: each event is durable (redo record)
-                    # before any shard can match it.
-                    self.durability.log_publish(self._sequence, event)
-                self._replay.append((self._sequence, event))
-                self._sequence += 1
-            if self._proc is not None:
-                # Workers return only threshold survivors, as compact
-                # (order, event index, matrix) records; results are
-                # rebuilt here against the parent's own subscription and
-                # event objects, then merged in global order exactly
-                # like the thread path below.
-                per_event: list[list[tuple]] = [[] for _ in events]
-                for order, j, matrix in self._proc.match_batch(events):
-                    entry = self._entries.get(order)
-                    if entry is None:  # pragma: no cover - defensive
-                        continue
-                    result = self._proc.build_result(
-                        entry.handle.subscription, events[j], matrix
-                    )
-                    if result is not None:
-                        per_event[j].append((order, entry.handle, result))
-                for j, sequence in enumerate(sequences):
-                    per_event[j].sort(key=lambda item: item[0])
-                    for _, handle, result in per_event[j]:
-                        pending.append(
-                            (
-                                handle,
-                                Delivery(
-                                    result=result,
-                                    sequence=sequence,
-                                    trace=contexts[j],
-                                ),
-                            )
-                        )
-            else:
-                active = [
-                    shard for shard in self._shards
-                    if shard.engine.subscription_count()
-                ]
-                if self._pool is not None and len(active) > 1:
-                    futures = [
-                        self._pool.submit(
-                            self._snapshot_shard, shard, events, batch_ctx
-                        )
-                        for shard in active
-                    ]
-                    outcomes = [future.result() for future in futures]
-                else:
-                    outcomes = [
-                        shard.engine.snapshot_batch(events, deliverable_only=True)
-                        for shard in active
-                    ]
-                threshold = self.matcher.threshold
-                for j, sequence in enumerate(sequences):
-                    matched = []
-                    for shard, (registrations, result_batch) in zip(active, outcomes, strict=True):
-                        if result_batch is None:
-                            continue
-                        for index, (_, sink) in enumerate(registrations):
-                            result = result_batch.result(index, j)
-                            if result is not None and result.is_match(threshold):
-                                shard.engine.stats.inc("deliveries")
-                                matched.append((sink.order, sink.handle, result))
-                    matched.sort(key=lambda item: item[0])
-                    for _, handle, result in matched:
-                        pending.append(
-                            (
-                                handle,
-                                Delivery(
-                                    result=result,
-                                    sequence=sequence,
-                                    trace=contexts[j],
-                                ),
-                            )
-                        )
-        # Matching and sequencing happen under the registry lock; the
-        # callbacks themselves must not (RL100) — a subscriber that
-        # subscribes/unsubscribes/publishes from its callback would
-        # otherwise deadlock against this dispatcher thread.
-        for handle, delivery in pending:
-            self.reliability.dispatch(handle, delivery)
-        if self.durability is not None:
-            # Every delivery of these events reached its terminal state;
-            # the journal can forget the in-flight entries.
-            for sequence in sequences:
-                self.durability.log_done(sequence)

@@ -1,67 +1,31 @@
 """Threaded broker front-end: true synchronization decoupling.
 
-:class:`~repro.broker.broker.ThematicBroker` is synchronous — ``publish``
-runs the staged match-batch engine inline. :class:`ThreadedBroker` wraps
-it with a worker thread and an ingress queue, so producers return
-immediately (the synchronization decoupling of Figure 1 made literal)
-while matching and delivery happen on the broker thread. Subscriber callbacks therefore run
-on the broker thread; inbox draining remains safe from any thread
-(``collections.deque`` append/popleft are atomic in CPython, and drains
-go through a lock anyway).
-
-Delivery fault tolerance (retries, deadlines, breakers, dead letters)
-comes from the embedded broker's reliability layer — see
-:mod:`repro.broker.reliability`.
+:class:`ThreadedBroker` is the queue-fed ingress
+(:class:`~repro.broker.ingress.QueuedBroker`) over one shard,
+dispatching one event at a time: ``publish`` returns immediately and
+matching and delivery happen on the dispatcher thread.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-from collections.abc import Callable
-from typing import TYPE_CHECKING
-
-from repro.broker.broker import BrokerMetrics, Delivery, ThematicBroker
-from repro.broker.config import ENGINE_KWARGS, BrokerConfig, config_from_legacy
-from repro.broker.durability import SimulatedCrash
-from repro.broker.ingress import STOP, wait_until_drained
-from repro.broker.reliability import (
-    DeadLetterQueue,
-    DeliveryPolicy,
-    ReliableDelivery,
-)
-from repro.core.engine import SubscriptionHandle
-from repro.core.events import Event
+from repro.broker.config import BrokerConfig
+from repro.broker.ingress import QueuedBroker
 from repro.core.matcher import ThematicMatcher
-from repro.core.subscriptions import Subscription
-from repro.obs import TRACER, MetricsRegistry
-from repro.obs.clock import MONOTONIC_CLOCK, Clock
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.broker.durability import BrokerDurability
+from repro.obs import MetricsRegistry
+from repro.obs.clock import Clock
 
 __all__ = ["ThreadedBroker"]
 
 
-class ThreadedBroker:
-    """Asynchronous facade over a single-node thematic broker.
+class ThreadedBroker(QueuedBroker):
+    """Asynchronous single-shard broker: ``publish`` returns at once,
+    ``flush()`` waits until the queue drains.
 
-    Usage::
-
-        broker = ThreadedBroker(matcher)
-        handle = broker.subscribe(subscription)
-        broker.publish(event)          # returns immediately
-        broker.flush()                 # wait until the queue drains
-        deliveries = handle.drain()
-        broker.close()
-
-    Also usable as a context manager (``with ThreadedBroker(...) as b:``).
-
-    Configuration is a :class:`~repro.broker.config.BrokerConfig` (this
-    front-end reads ``replay_capacity``, ``max_queue``, ``delivery``,
-    ``degraded``, ``dead_letter_capacity``); the legacy keyword
-    arguments still work with a :class:`DeprecationWarning`.
+    Reads what :class:`~repro.broker.broker.ThematicBroker` reads from
+    its :class:`~repro.broker.config.BrokerConfig`, plus ``max_queue``.
     """
+
+    thread_name = "thematic-broker"
 
     def __init__(
         self,
@@ -70,189 +34,8 @@ class ThreadedBroker:
         *,
         registry: MetricsRegistry | None = None,
         clock: Clock | None = None,
-        **legacy: object,
     ) -> None:
-        self.config = config_from_legacy(
-            config, ("replay_capacity", "max_queue") + ENGINE_KWARGS, legacy
+        super().__init__(
+            matcher, config, shards=1, max_batch=1, linger=0.0,
+            registry=registry, clock=clock,
         )
-        self._inner = ThematicBroker(
-            matcher, self.config, registry=registry, clock=clock
-        )
-        self._queue_wait = self._inner.metrics.registry.histogram(
-            "broker.queue_wait_seconds"
-        )
-        self._queue: queue.Queue = queue.Queue(maxsize=self.config.max_queue)
-        self._clock = clock if clock is not None else MONOTONIC_CLOCK
-        # Serializes access to the (single-threaded) inner broker between
-        # the worker, subscribe/unsubscribe callers, and close's drain.
-        # Reentrant on purpose: the inner broker runs subscriber
-        # callbacks inline, and a callback that re-enters this broker
-        # (subscribe from a delivery, the RL100 shape) must not deadlock
-        # against the worker thread that is already holding the lock.
-        self._lock = threading.RLock()
-        self._closed = False
-        self._close_lock = threading.Lock()
-        self._worker = threading.Thread(
-            target=self._run, name="thematic-broker", daemon=True
-        )
-        self._worker.start()
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            try:
-                if item is STOP:
-                    return
-                enqueued_at, event, ctx = item
-                picked_up = self._clock.monotonic()
-                self._queue_wait.record(picked_up - enqueued_at)
-                TRACER.record_span(
-                    "broker.ingress.wait", ctx, enqueued_at, picked_up
-                )
-                with self._lock:
-                    self._inner.publish(event, trace=ctx)
-            except SimulatedCrash:
-                # A scripted broker death (fault injection): the worker
-                # dies like the process would, silently — the journal's
-                # ``crashed`` flag is the record, not a stack trace on
-                # stderr. task_done still runs so flush stays truthful.
-                return
-            finally:
-                self._queue.task_done()
-
-    def close(self) -> None:
-        """Stop the worker after draining everything already queued.
-
-        Any ``publish`` that won its race against ``close`` (passed the
-        closed check before the flag was set) may have enqueued its event
-        *behind* the stop sentinel; those stragglers are published inline
-        here, so an event is either rejected with ``RuntimeError`` or
-        delivered — never silently dropped.
-        """
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._queue.put(STOP)
-        self._worker.join()
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            try:
-                if item is not STOP:
-                    _, event, ctx = item
-                    with self._lock:
-                        self._inner.publish(event, trace=ctx)
-            finally:
-                self._queue.task_done()
-        self._inner.close()
-
-    def __enter__(self) -> "ThreadedBroker":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- producer side --------------------------------------------------------
-
-    def publish(self, event: Event) -> None:
-        """Enqueue an event; never blocks on matching.
-
-        Raises ``RuntimeError`` after :meth:`close` — silently dropping
-        events would hide producer bugs.
-        """
-        if self._closed:
-            raise RuntimeError("broker is closed")
-        # The trace context is minted at ingress so the queue wait is
-        # part of the event's causal history; the root span itself is
-        # recorded by the inner broker's publish on the worker thread.
-        self._queue.put((self._clock.monotonic(), event, TRACER.mint_trace()))
-
-    def flush(self, timeout: float | None = None) -> bool:
-        """Block until every queued event has been processed.
-
-        Returns False if ``timeout`` elapsed first. Waits on the queue's
-        own condition variable (see
-        :func:`~repro.broker.ingress.wait_until_drained`) — the previous
-        implementation parked a daemon thread on ``Queue.join()`` that
-        never exited when the queue never drained, leaking one thread
-        per timed-out flush.
-        """
-        return wait_until_drained(self._queue, timeout)
-
-    # -- subscriber side --------------------------------------------------------
-
-    def subscribe(
-        self,
-        subscription: Subscription,
-        callback: Callable[[Delivery], None] | None = None,
-        *,
-        replay: bool = False,
-        policy: DeliveryPolicy | None = None,
-    ) -> SubscriptionHandle:
-        with self._lock:
-            return self._inner.subscribe(
-                subscription, callback, replay=replay, policy=policy
-            )
-
-    def unsubscribe(self, handle: SubscriptionHandle) -> bool:
-        with self._lock:
-            return self._inner.unsubscribe(handle)
-
-    @property
-    def metrics(self) -> BrokerMetrics:
-        return self._inner.metrics
-
-    @property
-    def dead_letters(self) -> DeadLetterQueue:
-        """The embedded broker's dead-letter queue."""
-        return self._inner.dead_letters
-
-    @property
-    def reliability(self) -> ReliableDelivery:
-        """The embedded broker's reliability engine (breaker states etc.)."""
-        return self._inner.reliability
-
-    @property
-    def durability(self) -> "BrokerDurability | None":
-        """The embedded broker's journal (``None`` without a policy)."""
-        return self._inner.durability
-
-    @property
-    def recovered(self) -> dict[int, SubscriptionHandle]:
-        """Handles restored from the journal, by original subscriber id."""
-        return self._inner.recovered
-
-    def recover_pending(self) -> int:
-        """Re-dispatch in-flight events from a recovered journal.
-
-        Serialized against the worker thread; see
-        :meth:`repro.broker.broker.ThematicBroker.recover_pending`.
-        """
-        with self._lock:
-            return self._inner.recover_pending()
-
-    def metrics_snapshot(self) -> dict:
-        """Coherent cross-thread view: counters plus queue-wait summary.
-
-        Counters are registry-backed (each guarded by its own lock), so
-        reading them from a producer thread while the worker publishes
-        is race-free — the historical failure mode of reading bare ints
-        off :class:`BrokerMetrics` mid-mutation.
-        """
-        snapshot = self._inner.metrics.snapshot()
-        snapshot["queue_wait"] = self._queue_wait.summary()
-        snapshot["pending"] = self.pending()
-        return snapshot
-
-    def subscriber_count(self) -> int:
-        with self._lock:
-            return self._inner.subscriber_count()
-
-    def pending(self) -> int:
-        """Events queued but not yet matched (approximate)."""
-        return self._queue.qsize()

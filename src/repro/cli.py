@@ -43,7 +43,6 @@ import random
 import sys
 from pathlib import Path
 
-from repro.broker.broker import ThematicBroker
 from repro.broker.config import BrokerConfig
 from repro.broker.faults import FaultPlan
 from repro.broker.sharded import ShardedBroker

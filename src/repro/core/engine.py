@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from threading import Lock
 from typing import TYPE_CHECKING, Any
 
-from repro._compat import config_from_kwargs
 from repro.core.degrade import DegradedMode, DegradedPolicy
 from repro.core.events import Event
 from repro.core.matcher import MatchResult, ThematicMatcher
@@ -134,9 +133,6 @@ class SubscriptionHandle:
 @dataclass(frozen=True)
 class EngineConfig:
     """Typed construction knobs for :class:`ThematicEventEngine`.
-
-    Replaces the sprawling keyword arguments (still accepted through a
-    deprecation shim for one release).
 
     Parameters
     ----------
@@ -250,9 +246,7 @@ class ThematicEventEngine:
         Any :class:`~repro.core.api.MatchEngine` implementation; all
         four Table-1 approaches qualify.
     config:
-        An :class:`EngineConfig`. The legacy keyword arguments
-        (``prefilter``/``private_pipeline``/``span_tags``) are still
-        accepted with a :class:`DeprecationWarning` for one release.
+        An :class:`EngineConfig` (defaults when omitted).
     registry:
         Metrics registry backing :class:`EngineStats`; defaults to a
         private one. The broker passes its own so one snapshot covers
@@ -269,23 +263,8 @@ class ThematicEventEngine:
         *,
         registry: MetricsRegistry | None = None,
         clock: Clock | None = None,
-        **legacy,
     ):
-        self.config = config_from_kwargs(
-            config,
-            EngineConfig(),
-            (
-                "prefilter",
-                "private_pipeline",
-                "span_tags",
-                "prefilter_mode",
-                "ann_recall_target",
-                "score_store_path",
-                "warm_on_start",
-            ),
-            legacy,
-            scope="engine",
-        )
+        self.config = config if config is not None else EngineConfig()
         if self.config.prefilter_mode not in PREFILTER_MODES:
             raise ValueError(
                 f"unknown prefilter mode {self.config.prefilter_mode!r} "
@@ -337,8 +316,7 @@ class ThematicEventEngine:
             )
         self._subscriptions: dict[int, tuple[Subscription, MatchCallback]] = {}
         self._next_id = 0
-        # Registration snapshot, rebuilt only when the set changes —
-        # process() used to re-materialize it on every single event.
+        # Registration snapshot, rebuilt only when the set changes.
         self._snapshot: list[tuple[Subscription, MatchCallback]] | None = None
 
     @staticmethod
@@ -536,44 +514,29 @@ class ThematicEventEngine:
         events: list[Event],
         *,
         prune_zero: bool,
-        deliver_threshold: float | None = None,
     ):
-        """One ``match_batch`` through this engine's pipeline choice.
-
-        A private pipeline takes precedence; otherwise the matcher's own
-        ``match_batch`` runs (with the delivery-gated mode forwarded only
-        when the matcher family supports it — Boolean baselines build
-        full results either way, and dispatch filters identically).
+        """One delivery-gated ``match_batch`` through this engine's
+        pipeline choice.
 
         With a degraded policy configured the full path is timed and an
         over-budget (or manually unhealthy) backend routes subsequent
         batches to the exact-anchor fallback; recovery probes re-enter
         the full path (see :class:`~repro.core.degrade.DegradedMode`).
         """
-        if self.degraded is not None:
-            if self.degraded.use_fallback():
-                self.degraded.note_fallback_batch()
-                return self._fallback_pipeline.run(
-                    subscriptions,
-                    events,
-                    prune_zero=prune_zero,
-                    deliver_threshold=deliver_threshold,
-                )
-            started = self.clock.monotonic()
-            batch = self._run_full(
+        if self.degraded is None:
+            return self._run_full(subscriptions, events, prune_zero=prune_zero)
+        if self.degraded.use_fallback():
+            self.degraded.note_fallback_batch()
+            return self._fallback_pipeline.run(
                 subscriptions,
                 events,
                 prune_zero=prune_zero,
-                deliver_threshold=deliver_threshold,
+                deliver_threshold=self.matcher.threshold,
             )
-            self.degraded.observe(self.clock.monotonic() - started)
-            return batch
-        return self._run_full(
-            subscriptions,
-            events,
-            prune_zero=prune_zero,
-            deliver_threshold=deliver_threshold,
-        )
+        started = self.clock.monotonic()
+        batch = self._run_full(subscriptions, events, prune_zero=prune_zero)
+        self.degraded.observe(self.clock.monotonic() - started)
+        return batch
 
     def _run_full(
         self,
@@ -581,117 +544,83 @@ class ThematicEventEngine:
         events: list[Event],
         *,
         prune_zero: bool,
-        deliver_threshold: float | None = None,
     ):
+        """A private pipeline takes precedence; otherwise the matcher's
+        own ``match_batch`` runs, delivery-gated when the matcher family
+        supports it (Boolean baselines build full results either way,
+        and dispatch filters identically)."""
+        threshold = self.matcher.threshold
         if self._pipeline is not None:
             return self._pipeline.run(
                 subscriptions,
                 events,
                 prune_zero=prune_zero,
-                deliver_threshold=deliver_threshold,
+                deliver_threshold=threshold,
             )
-        if deliver_threshold is not None and hasattr(self.matcher, "new_pipeline"):
+        if hasattr(self.matcher, "new_pipeline"):
             return self.matcher.match_batch(
                 subscriptions,
                 events,
                 prune_zero=prune_zero,
-                deliver_threshold=deliver_threshold,
+                deliver_threshold=threshold,
             )
         return self.matcher.match_batch(subscriptions, events, prune_zero=prune_zero)
 
-    def snapshot_batch(
-        self, events: list[Event], *, deliverable_only: bool = False
-    ):
-        """Match a micro-batch against the registration snapshot — no
-        dispatch.
+    def survivors(
+        self, events: list[Event]
+    ) -> Iterator[tuple[int, Any, MatchResult]]:
+        """Match a micro-batch; yield every deliverable pair, undispatched.
 
-        The sharded broker's unit of work: returns the registration
-        snapshot the batch was matched against (so the caller can merge
-        per-shard results into a globally ordered delivery stream) and
-        the :class:`~repro.core.api.BatchMatchResult`, or ``None`` when
-        there was nothing to match. ``deliverable_only`` materializes
-        result objects only for pairs at or above the matcher's
-        threshold — exactly the set dispatch would deliver — via the
-        pipeline's delivery-gated mode.
+        The engine's one dispatch path: a single delivery-gated
+        ``match_batch`` covers the (registration snapshot x batch) grid
+        — result objects are materialized only for pairs at or above
+        the matcher's threshold — and each survivor comes back as
+        ``(event index, registered callback, result)``, events in
+        arrival order, each in registration order. :meth:`process_batch`
+        invokes the callbacks; the broker's shard executors read the
+        registration off the callback slot instead and merge shards
+        into one globally ordered delivery stream.
         """
         registrations = self._registrations()
-        events = list(events)
         self.stats.inc("events_processed", len(events))
         self.stats.inc("evaluations", len(registrations) * len(events))
-        if not registrations or not events:
-            return registrations, None
-        if self._anchors is not None:
+        if not events:
+            return
+        if registrations and self._anchors is not None:
             registrations = self._anchor_survivors(registrations, events)
-            if not registrations:
-                return registrations, None
-        prune = self.prefilter and self.matcher.threshold > 0
-        deliver = self.matcher.threshold if deliverable_only else None
+        if not registrations:
+            return
+        threshold = self.matcher.threshold
         batch = self._run_batch(
             [subscription for subscription, _ in registrations],
             events,
-            prune_zero=prune,
-            deliver_threshold=deliver,
+            prune_zero=self.prefilter and threshold > 0,
         )
         if batch.stats is not None:
             self.stats.inc("pruned", batch.stats.pruned)
-        return registrations, batch
-
-    def process(self, event: Event) -> list[MatchResult]:
-        """Match ``event`` against every subscription and dispatch.
-
-        Returns the delivered results (also handed to callbacks), in
-        registration order. One staged ``match_batch`` call covers the
-        whole registration snapshot; ``evaluations`` counts the pairs
-        considered (pre-prefilter) and ``pruned`` how many of those the
-        loss-free prefilter settled without semantic scoring.
-        """
-        registrations = self._registrations()
-        self.stats.inc("events_processed")
-        self.stats.inc("evaluations", len(registrations))
-        if not registrations:
-            return []
-        if self._anchors is not None:
-            registrations = self._anchor_survivors(registrations, [event])
-            if not registrations:
-                return []
-        prune = self.prefilter and self.matcher.threshold > 0
-        batch = self._run_batch(
-            [subscription for subscription, _ in registrations],
-            [event],
-            prune_zero=prune,
-        )
-        batch_stats = batch.stats
-        if batch_stats is not None:
-            self.stats.inc("pruned", batch_stats.pruned)
-        delivered: list[MatchResult] = []
-        threshold = self.matcher.threshold
-        for index, (_, callback) in enumerate(registrations):
-            result = batch.result(index, 0)
-            if result is not None and result.is_match(threshold):
-                self.stats.inc("deliveries")
-                delivered.append(result)
-                callback(result)
-        return delivered
-
-    def process_batch(self, events: list[Event]) -> list[list[MatchResult]]:
-        """Match and dispatch a micro-batch; one result list per event.
-
-        The batched counterpart of :meth:`process`: one delivery-gated
-        ``match_batch`` covers the whole (snapshot × batch) grid, then
-        callbacks fire per event in arrival order, each in registration
-        order — the same deliveries, in the same per-subscriber order,
-        as the equivalent sequence of :meth:`process` calls.
-        """
-        registrations, batch = self.snapshot_batch(events, deliverable_only=True)
-        delivered: list[list[MatchResult]] = [[] for _ in events]
-        if batch is None:
-            return delivered
-        threshold = self.matcher.threshold
         for j in range(len(events)):
             for index, (_, callback) in enumerate(registrations):
                 result = batch.result(index, j)
                 if result is not None and result.is_match(threshold):
                     self.stats.inc("deliveries")
-                    delivered[j].append(result)
-                    callback(result)
+                    yield j, callback, result
+
+    def process_batch(self, events: list[Event]) -> list[list[MatchResult]]:
+        """Match and dispatch a micro-batch; one result list per event.
+
+        Callbacks fire per event in arrival order, each in registration
+        order; the delivered results (also handed to the callbacks) come
+        back grouped the same way. ``evaluations`` counts the pairs
+        considered (pre-prefilter) and ``pruned`` how many of those the
+        loss-free prefilter settled without semantic scoring.
+        """
+        events = list(events)
+        delivered: list[list[MatchResult]] = [[] for _ in events]
+        for j, callback, result in self.survivors(events):
+            delivered[j].append(result)
+            callback(result)
         return delivered
+
+    def process(self, event: Event) -> list[MatchResult]:
+        """:meth:`process_batch` for one event."""
+        return self.process_batch([event])[0]

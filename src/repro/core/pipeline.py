@@ -495,7 +495,9 @@ class StagedBatchPipeline:
         ):
             for i, j, sub, event in candidates:
                 table = self._table_for(sub, event)
-                matrix = self._pair_matrix(sub, event, table, min_relatedness)
+                matrix = self._pair_matrix_fill(
+                    sub, event, table, min_relatedness, stats
+                )
                 if results is None:
                     scores[i][j] = top_assignment_score(matrix)
                     continue
@@ -932,17 +934,25 @@ class StagedBatchPipeline:
         min_relatedness: float,
         stats: BatchStats,
     ) -> np.ndarray:
-        """Like :meth:`_pair_matrix`, but computes missing side scores.
+        """The pair's similarity matrix over the side-score table.
 
-        The same float operations in the same order as the collect +
-        bulk-scoring stages would produce — each table entry comes from
-        one measure call and one calibration application — only the
-        *scheduling* differs (on first touch instead of batched), which
-        cannot change any value: measure calls are independent and
-        deterministic. Stats count each computed entry as one collected
-        and one unique term pair (lookups served by the table are free
-        in this mode and are not walked, so ``dedup_ratio`` is not
-        meaningful here).
+        Mirrors :func:`~repro.core.similarity.predicate_tuple_score`
+        exactly — same short-circuits, same clamping order, same float
+        operations — with every semantic lookup served by the table;
+        an entry the table lacks is computed (and memoized) on first
+        touch. After the collect + bulk-scoring stages the table is
+        complete for every candidate, so the full-result and
+        scores-only modes perform this walk without ever filling.
+
+        Filling performs the same float operations in the same order as
+        the collect + bulk-scoring stages would — each table entry
+        comes from one measure call and one calibration application —
+        only the *scheduling* differs (on first touch instead of
+        batched), which cannot change any value: measure calls are
+        independent and deterministic. Stats count each computed entry
+        as one collected and one unique term pair (lookups served by
+        the table are free in this mode and are not walked, so
+        ``dedup_ratio`` is not meaningful in the delivery-gated mode).
         """
         matcher = self.matcher
         measure = matcher.measure
@@ -996,51 +1006,6 @@ class StagedBatchPipeline:
                             table[key] = value_sim
                             stats.term_pairs += 1
                             stats.unique_term_pairs += 1
-                else:
-                    value_sim = 1.0 if p.value == t.value else 0.0
-                if value_sim < min_relatedness:
-                    continue
-                row[j] = attr_sim * value_sim
-        return matrix
-
-    def _pair_matrix(
-        self,
-        sub: _CompiledSubscription,
-        event: _CompiledEvent,
-        table: dict[tuple[str, str], float],
-        min_relatedness: float,
-    ) -> np.ndarray:
-        """The pair's similarity matrix from precomputed side scores.
-
-        Mirrors :func:`~repro.core.similarity.predicate_tuple_score`
-        exactly — same short-circuits, same clamping order, same float
-        operations — with every semantic lookup served by the table.
-        """
-        matrix = np.zeros((sub.arity, event.size))
-        for i, p in enumerate(sub.predicates):
-            row = matrix[i]
-            for j, t in enumerate(event.tuples):
-                # Attribute side (two strings, always).
-                if p.attr_norm == t.attr_norm:
-                    attr_sim = 1.0
-                elif not p.approx_attribute:
-                    continue  # attr_sim == 0.0 -> entry stays 0.0
-                else:
-                    attr_sim = table[(p.attr_norm, t.attr_norm)]
-                if attr_sim < min_relatedness or attr_sim == 0.0:
-                    continue
-                if p.operator != "=":
-                    if p.predicate.evaluate_value(t.value):
-                        row[j] = attr_sim
-                    continue
-                # Value side.
-                if p.value_is_str and t.value_is_str:
-                    if p.value_norm == t.value_norm:
-                        value_sim = 1.0
-                    elif not p.approx_value:
-                        continue
-                    else:
-                        value_sim = table[(p.value_norm, t.value_norm)]
                 else:
                     value_sim = 1.0 if p.value == t.value else 0.0
                 if value_sim < min_relatedness:

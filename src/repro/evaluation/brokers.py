@@ -3,16 +3,18 @@
 The matcher benchmarks (:mod:`repro.evaluation.harness`) time the staged
 pipeline in isolation; this module times whole broker front-ends — the
 same themed fig9-style workload published through
-:class:`~repro.broker.threaded.ThreadedBroker` (one worker, one event
+:class:`~repro.broker.threaded.ThreadedBroker` (one shard, one event
 per dispatch) and :class:`~repro.broker.sharded.ShardedBroker`
 (subscription shards + ingress micro-batching), with delivery parity
-checked on every run. Shared by ``repro evaluate --shards`` and
-``benchmarks/bench_sharded_throughput.py`` so the CLI and the bench can
-never drift apart on methodology.
+checked on every run. Both are ingress settings of one broker core, so
+the ratio measures sharding and batching alone. Shared by
+``repro evaluate --shards`` and ``benchmarks/bench_sharded_throughput.py``
+so the CLI and the bench can never drift apart on methodology.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -216,6 +218,9 @@ def compare_broker_throughput(
             "batch_size": sharded_runs[-1].metrics["batch_size"],
         },
         "speedup": _mean(sharded_eps) / _mean(serial_eps),
+        # Shard pools only overlap on spare cores; a ratio is not
+        # comparable across hosts without this.
+        "host_nproc": os.cpu_count(),
     }
 
 
@@ -292,25 +297,17 @@ def compare_kernel_scaling(
     scalar_factory = thematic_matcher_factory(workload, vectorized=False)
     kernel_factory = thematic_matcher_factory(workload, vectorized=True)
 
-    def sharded_config(executor: str) -> BrokerConfig:
-        return BrokerConfig(
-            shards=shards,
-            max_batch=max_batch,
-            linger=linger,
-            executor=executor,
+    def sharded(executor: str) -> Callable[[], object]:
+        config = BrokerConfig(
+            shards=shards, max_batch=max_batch, linger=linger, executor=executor
         )
+        return lambda: ShardedBroker(kernel_factory(), config)
 
     configurations: list[tuple[str, Callable[[], object]]] = [
         ("serial_scalar", lambda: ThreadedBroker(scalar_factory())),
         ("serial_kernel", lambda: ThreadedBroker(kernel_factory())),
-        (
-            "thread_shards",
-            lambda: ShardedBroker(kernel_factory(), sharded_config("thread")),
-        ),
-        (
-            "process_shards",
-            lambda: ShardedBroker(kernel_factory(), sharded_config("process")),
-        ),
+        ("thread_shards", sharded("thread")),
+        ("process_shards", sharded("process")),
     ]
     eps: dict[str, list[float]] = {name: [] for name, _ in configurations}
     deliveries = 0
@@ -355,6 +352,7 @@ def compare_kernel_scaling(
         "repeats": max(1, repeats),
         "deliveries": deliveries,
         "parity": True,
+        "host_nproc": os.cpu_count(),
         "configs": {
             name: {
                 "eps_runs": values,

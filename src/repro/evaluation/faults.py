@@ -59,8 +59,14 @@ from repro.obs.flightrec import trigger_dump
 
 __all__ = ["BROKER_KINDS", "run_fault_injection"]
 
+_BROKER_CLASSES = {
+    "serial": ThematicBroker,
+    "threaded": ThreadedBroker,
+    "sharded": ShardedBroker,
+}
+
 #: Broker front-ends the experiment can exercise, in report order.
-BROKER_KINDS = ("serial", "threaded", "sharded")
+BROKER_KINDS = tuple(_BROKER_CLASSES)
 
 #: Fault-run default: quick deterministic retries (no jitter), small
 #: breaker threshold so plans can actually trip it. Sleeps go through
@@ -75,13 +81,30 @@ DEFAULT_FAULT_POLICY = DeliveryPolicy(
 
 
 def _build_broker(kind: str, matcher, config: BrokerConfig, clock):
-    if kind == "serial":
-        return ThematicBroker(matcher, config, clock=clock)
-    if kind == "threaded":
-        return ThreadedBroker(matcher, config, clock=clock)
-    if kind == "sharded":
-        return ShardedBroker(matcher, config, clock=clock)
-    raise ValueError(f"unknown broker kind {kind!r} (expected {BROKER_KINDS})")
+    try:
+        broker_cls = _BROKER_CLASSES[kind]
+    except KeyError:
+        raise ValueError(
+            f"unknown broker kind {kind!r} (expected {BROKER_KINDS})"
+        ) from None
+    return broker_cls(matcher, config, clock=clock)
+
+
+def _account(broker, handles):
+    """(delivered per subscriber, dead-lettered per subscriber, counters)
+    of a closed broker.
+
+    The counter view is flat across layers: ``broker.*`` and
+    ``reliability.*`` live on the broker registry, ``engine.*`` on the
+    shard registries, merged at read time.
+    """
+    delivered = [len(handle.drain()) for handle in handles]
+    dead = Counter(
+        record.subscriber_id for record in broker.dead_letters.drain()
+    )
+    counters = dict(broker.metrics.registry.snapshot()["counters"])
+    counters.update(broker.metrics_snapshot()["engine_totals"])
+    return delivered, [dead.get(i, 0) for i in range(len(handles))], counters
 
 
 def _run_one(kind, matcher_factory, subscriptions, events, plan, config, clock):
@@ -99,22 +122,10 @@ def _run_one(kind, matcher_factory, subscriptions, events, plan, config, clock):
         ]
         for event in events:
             broker.publish(event)
-        if hasattr(broker, "flush"):
-            broker.flush()
+        broker.flush()
     finally:
-        if hasattr(broker, "close"):
-            broker.close()
-    delivered = [len(handle.drain()) for handle in handles]
-    dead = Counter(
-        record.subscriber_id for record in broker.dead_letters.drain()
-    )
-    # Flat counter view across layers: broker.* and reliability.* live on
-    # the broker registry; the sharded broker keeps engine.* per shard and
-    # merges them at read time.
-    counters = dict(broker.metrics.registry.snapshot()["counters"])
-    if isinstance(broker, ShardedBroker):
-        counters.update(broker.metrics_snapshot()["engine_totals"])
-    return delivered, [dead.get(i, 0) for i in range(len(handles))], counters
+        broker.close()
+    return _account(broker, handles)
 
 
 def _run_one_with_kill(
@@ -158,8 +169,7 @@ def _run_one_with_kill(
             # Flush per event so async brokers process strictly in
             # publish order and the crash lands at a deterministic
             # point in the stream.
-            if hasattr(broker, "flush"):
-                broker.flush(10.0)
+            broker.flush(10.0)
             if broker.durability.crashed:
                 break
     except SimulatedCrash:
@@ -168,21 +178,8 @@ def _run_one_with_kill(
     if not crashed:
         # Kill offset beyond this run's journal: a clean, uninterrupted
         # run. Close and account exactly like the no-kill path.
-        if hasattr(broker, "close"):
-            broker.close()
-        delivered = [len(handle.drain()) for handle in handles]
-        dead = Counter(
-            record.subscriber_id for record in broker.dead_letters.drain()
-        )
-        counters = dict(broker.metrics.registry.snapshot()["counters"])
-        if isinstance(broker, ShardedBroker):
-            counters.update(broker.metrics_snapshot()["engine_totals"])
-        return (
-            delivered,
-            [dead.get(i, 0) for i in range(len(handles))],
-            counters,
-            {"restarted": False},
-        )
+        broker.close()
+        return (*_account(broker, handles), {"restarted": False})
 
     # -- phase 2: restart from disk ---------------------------------------
     injector2 = FaultInjector(plan, clock=clock)
@@ -211,29 +208,15 @@ def _run_one_with_kill(
     recover_completed = broker2.recover_pending()
     for event in events[resumed_at:]:
         broker2.publish(event)
-        if hasattr(broker2, "flush"):
-            broker2.flush(10.0)
-    if hasattr(broker2, "close"):
-        broker2.close()
-    delivered = [len(handle.drain()) for handle in handles2]
-    dead = Counter(
-        record.subscriber_id for record in broker2.dead_letters.drain()
-    )
-    counters = dict(broker2.metrics.registry.snapshot()["counters"])
-    if isinstance(broker2, ShardedBroker):
-        counters.update(broker2.metrics_snapshot()["engine_totals"])
+        broker2.flush(10.0)
+    broker2.close()
     extras = {
         "restarted": True,
         "resumed_at": resumed_at,
         "recover_completed": recover_completed,
         "recovery": recovery.to_dict() if recovery is not None else None,
     }
-    return (
-        delivered,
-        [dead.get(i, 0) for i in range(len(handles2))],
-        counters,
-        extras,
-    )
+    return (*_account(broker2, handles2), extras)
 
 
 def run_fault_injection(

@@ -4,7 +4,13 @@ import threading
 
 import pytest
 
-from repro.broker.broker import ThematicBroker
+from repro.broker import (
+    BrokerConfig,
+    DurabilityPolicy,
+    ShardedBroker,
+    ThematicBroker,
+    ThreadedBroker,
+)
 from repro.core.language import parse_event, parse_subscription
 from repro.core.matcher import ThematicMatcher
 from repro.semantics.measures import ThematicMeasure
@@ -135,6 +141,43 @@ class TestReentrantCallbacks:
         # reliable dispatch path.
         assert len(late_seen) == 1
         assert len(registered[0].drain()) == 1
+
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["volatile", "durable"])
+    @pytest.mark.parametrize(
+        "broker_cls", [ThematicBroker, ThreadedBroker, ShardedBroker]
+    )
+    def test_reentrant_publish_keeps_the_outer_events_stamps(
+        self, space, tmp_path, broker_cls, durable
+    ):
+        """A callback that publishes must not change the sequence or
+        trace stamped on the rest of the outer event's deliveries:
+        every delivery of event *n* carries ``sequence == n``."""
+        config = BrokerConfig(
+            shards=2,
+            durability=DurabilityPolicy(directory=str(tmp_path)) if durable else None,
+        )
+        broker = broker_cls(ThematicMatcher(ThematicMeasure(space)), config)
+        inner = parse_event("({transport}, {street: main street})")
+        seen = []
+        all_seen = threading.Event()
+
+        def republisher(delivery):
+            seen.append((delivery.sequence, delivery.event is EVENT))
+            if len(seen) == 1:
+                broker.publish(inner)  # matches nobody; takes sequence 1
+            if len(seen) == 5:
+                all_seen.set()
+
+        try:
+            for _ in range(5):
+                broker.subscribe(MATCHING, republisher)
+            broker.publish(EVENT)
+            assert all_seen.wait(timeout=30)
+        finally:
+            broker.close()  # drains the inner event where it was queued
+        assert seen == [(0, True)] * 5
+        assert broker.metrics.published == 2
 
 
 class TestMetrics:

@@ -1,15 +1,15 @@
-"""The typed BrokerConfig and the legacy-keyword deprecation shims."""
+"""The typed BrokerConfig: one config object for every front-end."""
 
 import warnings
 
 import pytest
 
 from repro.broker.broker import ThematicBroker
-from repro.broker.config import BrokerConfig, config_from_legacy
+from repro.broker.config import BrokerConfig
 from repro.broker.reliability import DeliveryPolicy
 from repro.broker.sharded import ShardedBroker
 from repro.broker.threaded import ThreadedBroker
-from repro.core.engine import EngineConfig, ThematicEventEngine
+from repro.core.engine import ThematicEventEngine
 from repro.core.matcher import ThematicMatcher
 from repro.semantics.measures import ThematicMeasure
 
@@ -50,53 +50,17 @@ class TestBrokerConfig:
 
 
 class TestLegacyShim:
-    def test_no_legacy_passes_config_through(self):
-        config = BrokerConfig(shards=7)
-        assert config_from_legacy(config, ("shards",), {}) is config
-
-    def test_none_config_defaults(self):
-        assert config_from_legacy(None, ("shards",), {}) == BrokerConfig()
-
-    def test_unknown_keyword_raises_type_error(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            config_from_legacy(None, ("shards",), {"shard_count": 2})
-
-    def test_legacy_keys_overlay_with_warning(self):
-        with pytest.warns(DeprecationWarning):
-            config = config_from_legacy(None, ("shards",), {"shards": 9})
-        assert config.shards == 9
-
-    def test_serial_broker_legacy_replay_capacity(self, matcher):
-        with pytest.warns(DeprecationWarning):
-            broker = ThematicBroker(matcher, replay_capacity=3)
-        assert broker.config.replay_capacity == 3
+    """The keyword-argument shims are gone: options live on the config
+    objects, and a stray keyword is an ordinary ``TypeError``."""
 
     def test_serial_broker_rejects_unknown_kwargs(self, matcher):
         with pytest.raises(TypeError):
             ThematicBroker(matcher, replay=3)
 
-    def test_threaded_broker_legacy_max_queue(self, matcher):
-        with pytest.warns(DeprecationWarning):
-            broker = ThreadedBroker(matcher, max_queue=5)
-        with broker:
-            assert broker.config.max_queue == 5
-
-    def test_sharded_broker_legacy_kwargs(self, matcher):
-        with pytest.warns(DeprecationWarning):
-            broker = ShardedBroker(matcher, shards=2, max_batch=4, workers=0)
-        with broker:
-            assert broker.config.shards == 2
-            assert broker.config.max_batch == 4
-
     def test_configured_brokers_emit_no_warning(self, matcher):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             ThematicBroker(matcher, BrokerConfig())
-
-    def test_engine_legacy_prefilter_kwarg(self, matcher):
-        with pytest.warns(DeprecationWarning):
-            engine = ThematicEventEngine(matcher, prefilter=False)
-        assert engine.config == EngineConfig(prefilter=False)
 
     def test_engine_rejects_unknown_kwargs(self, matcher):
         with pytest.raises(TypeError, match="unexpected keyword"):

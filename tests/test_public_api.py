@@ -199,19 +199,3 @@ class TestConfigFieldSnapshot:
         for cls_name in CONFIG_FIELDS:
             cls = getattr(repro.api, cls_name)
             assert cls.__dataclass_params__.frozen, cls_name
-
-
-class TestDeprecatedAliases:
-    def test_subscriber_handle_alias_warns_but_works(self):
-        from repro.broker.broker import SubscriberHandle
-        from repro.core.engine import SubscriptionHandle
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            handle = SubscriberHandle(7, None)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert isinstance(handle, SubscriptionHandle)
-        assert handle.subscriber_id == 7
-        assert handle.subscription_id == 7
