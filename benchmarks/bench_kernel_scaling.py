@@ -17,7 +17,7 @@ Ladder rungs (all timed over the same themed fig9-style workload):
 * ``serial_kernel`` — same serial broker, vectorized kernel (batch size
   is 1 per dispatch, so this rung isolates kernel overhead, not wins);
 * ``thread_shards`` — ShardedBroker, thread executor, kernel: ingress
-  micro-batching feeds the block-fill pipeline whole batches;
+  micro-batching feeds the pipeline whole batches (one kernel call each);
 * ``process_shards`` — ShardedBroker, spawned worker processes attached
   zero-copy to the columnar space snapshot.
 

@@ -169,8 +169,8 @@ class EngineConfig:
         Optional path to a persistent precomputed-score snapshot
         (``repro warm-cache``). When set, the engine layers a
         :class:`~repro.semantics.measures.PrecomputedMeasure` over the
-        matcher's measure so both the scalar and block-fill scoring
-        paths consult the store before any cache or kernel; the
+        matcher's measure so both per-lookup and bulk (``score_batch``)
+        scoring consult the store before any cache or kernel; the
         snapshot's corpus digest is verified against the matcher's
         space when one is reachable.
     warm_on_start:
@@ -379,7 +379,7 @@ class ThematicEventEngine:
         Rebuilds the matcher (same type, same knobs) around a
         :class:`~repro.semantics.measures.PrecomputedMeasure` whose
         fallback is the original measure — the store is consulted first
-        on both the scalar and block-fill scoring paths, and anything
+        by both per-lookup and bulk (``score_batch``) scoring, and anything
         it misses flows through the unchanged cache/kernel stack. The
         snapshot's corpus digest is checked against the matcher's space
         whenever one is reachable, so a store warmed against a

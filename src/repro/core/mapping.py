@@ -39,11 +39,9 @@ from repro.obs import TRACER
 __all__ = [
     "Correspondence",
     "Mapping",
-    "assignment_costs",
     "k_best_assignments",
     "single_mapping",
     "top_assignment",
-    "top_assignment_prepared",
     "top_k_mappings",
     "top_assignment_score",
 ]
@@ -257,40 +255,6 @@ def top_assignment_score(scores: np.ndarray) -> float:
     for r, c in zip(rows, cols, strict=True):
         product *= float(scores[r, c])
     return float(product ** (1.0 / n))
-
-
-def assignment_costs(scores: np.ndarray) -> np.ndarray:
-    """The ``-log`` cost array every top-assignment solver builds.
-
-    Exposed so batch callers can compute costs for a whole block of
-    matrices in one elementwise pass and feed slices to
-    :func:`top_assignment_prepared`; the expression is identical to the
-    inline construction in :func:`top_assignment` /
-    :func:`k_best_assignments`, so precomputed costs are bit-identical.
-    Works on arrays of any shape (costs are elementwise).
-    """
-    return np.minimum(-np.log(np.maximum(scores, _EPSILON)), _FORBIDDEN_COST)
-
-
-def top_assignment_prepared(
-    scores: np.ndarray, cost: np.ndarray
-) -> tuple[tuple[int, ...], float] | None:
-    """:func:`top_assignment` with the cost array already built.
-
-    ``cost`` must be ``assignment_costs(scores)`` (or a slice of a block
-    of them); the solver, bookkeeping and score arithmetic are the same,
-    so the result is bit-identical to :func:`top_assignment`.
-    """
-    n, m = scores.shape
-    if n == 0 or n > m:
-        return None
-    rows, cols = linear_sum_assignment(cost)
-    assignment = [0] * n
-    product = 1.0
-    for r, c in zip(rows, cols, strict=True):
-        assignment[r] = int(c)
-        product *= float(scores[r, c])
-    return tuple(assignment), float(product ** (1.0 / n))
 
 
 def top_assignment(scores: np.ndarray) -> tuple[tuple[int, ...], float] | None:

@@ -186,7 +186,7 @@ class ThematicMatcher:
         """Match every subscription against every event, staged.
 
         Runs the :class:`~repro.core.pipeline.StagedBatchPipeline`
-        (candidates → term-pair collection → bulk scoring → assignment),
+        (candidates → matrix fill → bulk scoring → assignment),
         which deduplicates semantic lookups across the whole batch. The
         score grid is bit-identical to per-pair :meth:`score` calls; see
         :mod:`repro.core.api` for the contract and the keyword options,

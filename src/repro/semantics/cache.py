@@ -314,7 +314,7 @@ class PersistentScoreStore:
         Unmemoized keys are hashed in one pass and located with a single
         ``searchsorted`` call instead of one per key; symmetry, hit/miss
         counters, and memoization are per-key identical to :meth:`get`.
-        This is the probe the pipeline's block-fill stage rides.
+        This is the probe the pipeline's bulk scoring stage rides.
         """
         results: list[float | None] = [None] * len(lookups)
         memo = self._memo

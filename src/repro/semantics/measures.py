@@ -303,8 +303,8 @@ class PrecomputedMeasure:
         Misses go to the fallback's ``score_batch`` when it has one (one
         kernel call for a vectorized fallback), otherwise per-lookup
         ``score`` — value-identical either way. This is what routes the
-        precomputed tier through the pipeline's block-fill stage, not
-        just the scalar path.
+        precomputed tier through the pipeline's bulk scoring stage, not
+        just the per-lookup loop.
         """
         lookups = list(lookups)
         out: list[float] = [0.0] * len(lookups)

@@ -1,6 +1,8 @@
 """Tests for the single-node thematic broker."""
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -69,6 +71,26 @@ class TestPubSub:
         assert broker.publish(EVENT) == 3
         for handle in handles:
             assert len(handle.drain()) == 1
+
+    def test_unsubscribed_subscriptions_are_released(self, broker):
+        """A retired subscription must not stay pinned by the matching
+        path: once it stops arriving, the next publish that runs a match
+        lets go of it (the pipeline's compiled-subscription table used
+        to keep every subscription it ever saw alive)."""
+        broker.subscribe(MATCHING)  # keeps a match running per publish
+        retired = []
+        for room in range(6):
+            subscription = parse_subscription(
+                f"({{power}}, {{device~= laptop~, office= room {room}}})"
+            )
+            handle = broker.subscribe(subscription)
+            broker.publish(EVENT)  # matched, hence compiled
+            assert broker.unsubscribe(handle)
+            retired.append(weakref.ref(subscription))
+            del subscription, handle
+        broker.publish(EVENT)
+        gc.collect()
+        assert [ref() for ref in retired] == [None] * 6
 
 
 class TestTimeDecoupling:

@@ -2,6 +2,7 @@
 engine-side dispatch behaviour (snapshot caching, prefilter, registry
 stats) the pipeline feeds."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -215,14 +216,14 @@ def _vectorized_matcher(space, k: int, threshold: float) -> ThematicMatcher:
     k=st.sampled_from((1, 2)),
     threshold=st.sampled_from((0.0, 0.5)),
 )
-def test_vectorized_delivery_gated_block_parity(space, workload, k, threshold):
-    """The numpy block fill must equal the full kernel path bit for bit.
+def test_vectorized_delivery_gated_parity(space, workload, k, threshold):
+    """Gated mode over the kernel must equal full mode over it bit for bit.
 
-    With a vectorized measure, delivery-gated mode builds candidate
-    matrices via per-group block gathers instead of the per-cell walk;
-    every score, assignment, probability and alternatives count must be
-    exactly equal to full mode over the same kernel — masks replicate
-    the walk's short-circuits, so no float may differ.
+    With a vectorized measure the batch's missing lookups are scored by
+    one ``score_batch`` call in either mode and the matrices come from
+    the same cell walk; every score, assignment, probability and
+    alternatives count must be exactly equal — the gate may only decide
+    which results are materialized, so no float may differ.
     """
     subs, evts = workload
     full = _vectorized_matcher(space, k, threshold).match_batch(subs, evts)
@@ -234,9 +235,10 @@ def test_vectorized_delivery_gated_block_parity(space, workload, k, threshold):
 
 @settings(max_examples=10, deadline=None)
 @given(first=workloads, second=workloads)
-def test_vectorized_block_parity_with_warm_tables(space, first, second):
-    """Second batch on the same matcher hits warm score tables; the
-    block fill must still match a cold full-mode run exactly."""
+def test_vectorized_gated_parity_with_warm_tables(space, first, second):
+    """Second batch on the same matcher hits warm score tables (some
+    cells filled on the walk, some pending on the batch's bulk call);
+    it must still match a cold full-mode run exactly."""
     warm = _vectorized_matcher(space, 1, 0.5)
     for subs, evts in (first, second):
         gated = warm.match_batch(subs, evts, deliver_threshold=0.5)
@@ -245,8 +247,6 @@ def test_vectorized_block_parity_with_warm_tables(space, first, second):
 
 
 def test_deliver_threshold_conflicts_with_scores_only(space):
-    import pytest
-
     matcher = _fresh_matcher(space)
     sub = parse_subscription("({transport}, {vehicle~= bus~})")
     event = parse_event("({transport}, {vehicle: traffic})")
@@ -313,6 +313,36 @@ class TestPipelineStats:
         assert stats.term_pairs > stats.unique_term_pairs
         assert 0.0 < stats.dedup_ratio < 1.0
 
+    def test_stats_mean_the_same_in_every_mode(self, space):
+        """One walk, one accounting: a cold gated run and a cold full
+        run of the same batch report the same lookups walked, misses
+        scored and prunes."""
+        subs = [
+            parse_subscription("({transport}, {vehicle~= bus~})"),
+            parse_subscription("({transport}, {unit= microgram})"),
+            parse_subscription("({transport}, {vehicle~= bus~, sensor~= ozone~})"),
+        ]
+        evts = [
+            parse_event("({transport}, {vehicle: traffic})"),
+            parse_event("({transport}, {vehicle: traffic, speed: 3})"),
+            parse_event("({transport}, {speed: 3})"),
+        ]
+
+        def cold(**mode):
+            engine = ThematicMatcher(ThematicMeasure(space))
+            return engine.match_batch(subs, evts, prune_zero=True, **mode).stats
+
+        full, gated = cold(), cold(deliver_threshold=0.5)
+        assert full.term_pairs > full.unique_term_pairs > 0
+        assert full.pruned_arity > 0 and full.pruned_anchor > 0
+        assert (gated.term_pairs, gated.unique_term_pairs) == (
+            full.term_pairs, full.unique_term_pairs
+        )
+        assert (gated.pruned_arity, gated.pruned_anchor) == (
+            full.pruned_arity, full.pruned_anchor
+        )
+        assert cold(scores_only=True) == full
+
     def test_score_table_persists_across_batches(self, space):
         sub = parse_subscription("({transport}, {vehicle~= bus~})")
         event = parse_event("({transport}, {vehicle: traffic})")
@@ -322,6 +352,114 @@ class TestPipelineStats:
         assert first.stats.unique_term_pairs > 0
         assert again.stats.unique_term_pairs == 0  # all lookups table hits
         assert again.scores == first.scores
+
+
+class _CountingMeasure:
+    """Scalar measure double: records every ``score`` call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.score_calls = []
+
+    def score(self, term_s, theme_s, term_e, theme_e):
+        self.score_calls.append((term_s, theme_s, term_e, theme_e))
+        return self.inner.score(term_s, theme_s, term_e, theme_e)
+
+
+class _CountingBatchMeasure(_CountingMeasure):
+    """Double that declares itself ``vectorized``: the pipeline must
+    route every lookup of a batch through one ``score_batch`` call."""
+
+    vectorized = True
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.batch_calls = []
+
+    def score_batch(self, lookups):
+        lookups = list(lookups)
+        self.batch_calls.append(lookups)
+        return [self.inner.score(*lookup) for lookup in lookups]
+
+
+@pytest.mark.parametrize("batch_size", (3, 1))
+@pytest.mark.parametrize(
+    "mode", ({}, {"scores_only": True}, {"deliver_threshold": 0.5}),
+    ids=("full", "scores_only", "gated"),
+)
+class TestScoringSchedule:
+    """When the measure is asked, in every mode and for a batch of one:
+    misses are queued on the walk and scored together, never on touch."""
+
+    SUBS = [
+        parse_subscription("({transport}, {vehicle~= bus~, sensor~= ozone~})"),
+        parse_subscription("({environment}, {pollutant~= smog~})"),
+    ]
+    EVENTS = [
+        parse_event("({transport}, {vehicle: traffic, sensor: smog, speed: 3})"),
+        parse_event("({transport}, {vehicle: traffic, unit: ozone})"),
+        parse_event("({environment}, {pollutant: ozone, type: bus})"),
+    ]
+
+    def test_vectorized_measure_gets_one_bulk_call(self, space, mode, batch_size):
+        evts = self.EVENTS[:batch_size]
+        measure = _CountingBatchMeasure(ThematicMeasure(space))
+        engine = ThematicMatcher(measure)
+        cold = engine.match_batch(self.SUBS, evts, **mode)
+        assert cold.stats.unique_term_pairs > 0
+        assert len(measure.batch_calls) == 1
+        assert len(measure.batch_calls[0]) == cold.stats.unique_term_pairs
+        warm = engine.match_batch(self.SUBS, evts, **mode)
+        assert len(measure.batch_calls) == 1  # warm tables: no call
+        assert measure.score_calls == []
+        assert warm.scores == cold.scores
+
+    def test_scalar_measure_gets_one_call_per_unique_lookup(
+        self, space, mode, batch_size
+    ):
+        evts = self.EVENTS[:batch_size]
+        measure = _CountingMeasure(ThematicMeasure(space))
+        engine = ThematicMatcher(measure)
+        cold = engine.match_batch(self.SUBS, evts, **mode)
+        calls = list(measure.score_calls)
+        # Walked more than once, asked once per (table, term pair).
+        assert cold.stats.term_pairs >= len(calls) > 0
+        assert len(calls) == cold.stats.unique_term_pairs
+        assert len(set(calls)) == len(calls)
+        warm = engine.match_batch(self.SUBS, evts, **mode)
+        assert measure.score_calls == calls  # warm tables: no call
+        assert warm.scores == cold.scores
+        reference = pairwise_match_batch(
+            ThematicMatcher(ThematicMeasure(space)), self.SUBS, evts
+        )
+        assert cold.scores == reference.scores
+
+
+    def test_chunked_batch_equals_unchunked(
+        self, space, mode, batch_size, monkeypatch
+    ):
+        """A batch larger than the pipeline's chunk runs fill → score →
+        assign per chunk; scores, results and the dedup (each lookup
+        scored once per batch) must not depend on where chunks fall."""
+        from repro.core import pipeline
+
+        evts = self.EVENTS[:batch_size]
+        whole = ThematicMatcher(ThematicMeasure(space)).match_batch(
+            self.SUBS, evts, **mode
+        )
+        monkeypatch.setattr(pipeline, "_CHUNK", 2)
+        measure = _CountingMeasure(ThematicMeasure(space))
+        chunked = ThematicMatcher(measure).match_batch(self.SUBS, evts, **mode)
+        assert chunked.scores == whole.scores
+        assert chunked.stats.unique_term_pairs == whole.stats.unique_term_pairs
+        assert len(measure.score_calls) == whole.stats.unique_term_pairs
+        if whole.results is not None:
+            for i in range(len(self.SUBS)):
+                for j in range(len(evts)):
+                    ours, ref = chunked.result(i, j), whole.result(i, j)
+                    assert (ours is None) == (ref is None)
+                    if ours is not None:
+                        assert ours.mapping == ref.mapping
 
 
 class TestEngineDispatch:
