@@ -147,8 +147,8 @@ def bench_warm_tier(workload, subscriptions, events, combination):
         for lookup in plan_lookups(sub_terms, event_terms, [theme_pair]):
             planned[lookup] = None
     table = warm_score_table(warm_space, list(planned))
-    store = PersistentScoreStore.from_table(
-        table, corpus_digest=corpus_digest(warm_space.documents)
+    store = PersistentScoreStore.build(
+        table.scores, corpus_digest=corpus_digest(warm_space.documents)
     )
     matcher_factory = thematic_matcher_factory(workload, vectorized=True)
     with tempfile.TemporaryDirectory(prefix="repro-bench-warm-") as directory:

@@ -35,7 +35,7 @@ from repro.evaluation import (
     generate_subscriptions,
     measure_throughput,
 )
-from repro.semantics import PrecomputedMeasure, precompute_scores
+from repro.semantics import CachedMeasure, ExactMeasure, precompute_scores
 from repro.semantics.measures import NonThematicMeasure
 
 
@@ -99,7 +99,7 @@ def test_prior_work_comparison(benchmark, workload, half_degree, bench_artifact)
     table = precompute_scores(
         NonThematicMeasure(workload.space), sub_terms, event_terms
     )
-    precomputed = ThematicMatcher(PrecomputedMeasure(table))
+    precomputed = ThematicMatcher(CachedMeasure(ExactMeasure(), table))
 
     runtime_cold = NonThematicMatcher(workload.space, cached=False)
     probe_subs = subs.approximate[:4]

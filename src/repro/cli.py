@@ -74,7 +74,7 @@ from repro.obs.traceview import (
     render_trace_tree,
     summarize_traces,
 )
-from repro.semantics.cache import RelatednessCache
+from repro.semantics.cache import RelatednessCache, cache_key
 from repro.semantics.measures import (
     CachedMeasure,
     NonThematicMeasure,
@@ -308,8 +308,11 @@ def cmd_warm_cache(args: argparse.Namespace) -> int:
         )
         return 1
     sample = rng.sample(lookups, min(len(lookups), 256))
-    for lookup in sample:
-        if loaded.get(*lookup) != store.get(*lookup):
+    keys = [cache_key(*lookup) for lookup in sample]
+    for lookup, on_disk, in_memory in zip(
+        sample, loaded.probe(keys), store.probe(keys), strict=True
+    ):
+        if on_disk != in_memory:
             print(
                 f"reload-verify FAILED: {lookup!r} reads back differently",
                 file=sys.stderr,
@@ -320,8 +323,12 @@ def cmd_warm_cache(args: argparse.Namespace) -> int:
         online = KernelMeasure(workload.space.kernel())
         checks = rng.sample(lookups, min(len(lookups), args.check_parity))
         worst = max(
-            abs(loaded.get(*lookup) - online.score(*lookup))
-            for lookup in checks
+            abs(on_disk - online.score(*lookup))
+            for lookup, on_disk in zip(
+                checks,
+                loaded.probe([cache_key(*lookup) for lookup in checks]),
+                strict=True,
+            )
         )
         print(
             f"parity vs online kernel over {len(checks)} samples: "

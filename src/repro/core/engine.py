@@ -167,12 +167,14 @@ class EngineConfig:
         falls back to the exact scan, bit-identical to ``"semantic"``.
     score_store_path:
         Optional path to a persistent precomputed-score snapshot
-        (``repro warm-cache``). When set, the engine layers a
-        :class:`~repro.semantics.measures.PrecomputedMeasure` over the
-        matcher's measure so both per-lookup and bulk (``score_batch``)
-        scoring consult the store before any cache or kernel; the
-        snapshot's corpus digest is verified against the matcher's
-        space when one is reachable.
+        (``repro warm-cache``). When set, the engine matches through
+        ``CachedMeasure(matcher.measure, RelatednessCache(backing=store))``
+        so both per-lookup and bulk (``score_batch``) scoring consult
+        that memo, then the store, before the matcher's own measure;
+        the snapshot's corpus digest is verified against the matcher's
+        space when one is reachable. The memo is unbounded; to bound it,
+        build the same ``CachedMeasure`` yourself with ``max_entries``
+        and leave this unset.
     warm_on_start:
         Materialize the score store into RAM at construction instead of
         paging it in lazily (requires ``score_store_path``).
@@ -275,7 +277,7 @@ class ThematicEventEngine:
         self.stats = EngineStats(registry)
         self.score_store = None
         if self.config.score_store_path is not None:
-            matcher = self._wrap_with_store(matcher)
+            matcher = self._attach_store(matcher)
         self.matcher = matcher
         self._anchors: AnchorIndex | None = None
         self._entry_snapshot: list | None = None
@@ -349,42 +351,33 @@ class ThematicEventEngine:
 
     @staticmethod
     def _find_space(measure):
-        """The semantic space behind a (possibly layered) measure.
+        """The semantic space behind a (possibly wrapped) measure.
 
-        Measures wrap each other (``PrecomputedMeasure`` over
-        ``CachedMeasure`` over ``ThematicMeasure``); the space sits on
-        the innermost scoring measure. Walks ``.space`` / ``.inner`` /
-        ``.fallback`` and returns the first corpus-backed space, or
-        ``None`` (e.g. ``ExactMeasure``).
+        The space sits on the innermost scoring measure; wrappers
+        (``CachedMeasure``, instrumentation) expose what they wrap as
+        ``.inner``. Returns the first corpus-backed ``.space`` down that
+        chain, or ``None`` (e.g. ``ExactMeasure``).
         """
-        seen: set[int] = set()
-        queue = [measure]
-        while queue:
-            obj = queue.pop()
-            if id(obj) in seen:
-                continue
-            seen.add(id(obj))
-            space = getattr(obj, "space", None)
+        while measure is not None:
+            space = getattr(measure, "space", None)
             if space is not None and hasattr(space, "documents"):
                 return space
-            for attr in ("inner", "fallback"):
-                inner = getattr(obj, attr, None)
-                if inner is not None:
-                    queue.append(inner)
+            measure = getattr(measure, "inner", None)
         return None
 
-    def _wrap_with_store(self, matcher: ThematicMatcher) -> ThematicMatcher:
-        """Layer the persistent score tier over the matcher's measure.
+    def _attach_store(self, matcher: ThematicMatcher) -> ThematicMatcher:
+        """Put the persistent score store in front of the matcher's measure.
 
-        Rebuilds the matcher (same type, same knobs) around a
-        :class:`~repro.semantics.measures.PrecomputedMeasure` whose
-        fallback is the original measure — the store is consulted first
-        by both per-lookup and bulk (``score_batch``) scoring, and anything
-        it misses flows through the unchanged cache/kernel stack. The
-        snapshot's corpus digest is checked against the matcher's space
-        whenever one is reachable, so a store warmed against a
-        different corpus is rejected at construction, not silently
-        consulted.
+        The engine matches through a :class:`ThematicMatcher` with the
+        caller's knobs whose measure is
+        ``CachedMeasure(matcher.measure, RelatednessCache(backing=store))``
+        — the same wrapper any caller would use: memo, then store, then
+        the original measure (cache and kernel unchanged), for both
+        per-lookup and bulk scoring. The caller's matcher is left as it
+        was. The snapshot's corpus digest is checked against the
+        matcher's space whenever one is reachable, so a store warmed
+        against a different corpus is rejected at construction, not
+        silently consulted.
         """
         required = ("measure", "k", "threshold", "min_relatedness", "calibration")
         if any(not hasattr(matcher, name) for name in required):
@@ -392,8 +385,8 @@ class ThematicEventEngine:
                 "score_store_path needs a ThematicMatcher-family engine "
                 f"(got {type(matcher).__name__})"
             )
-        from repro.semantics.cache import PersistentScoreStore
-        from repro.semantics.measures import PrecomputedMeasure
+        from repro.semantics.cache import PersistentScoreStore, RelatednessCache
+        from repro.semantics.measures import CachedMeasure
 
         expected = None
         space = self._find_space(matcher.measure)
@@ -409,8 +402,8 @@ class ThematicEventEngine:
         if self.config.warm_on_start:
             store.warm()
         self.score_store = store
-        return type(matcher)(
-            PrecomputedMeasure(store, fallback=matcher.measure),
+        return ThematicMatcher(
+            CachedMeasure(matcher.measure, RelatednessCache(backing=store)),
             k=matcher.k,
             threshold=matcher.threshold,
             min_relatedness=matcher.min_relatedness,

@@ -18,6 +18,7 @@ probability space ``P``, for consumption by the CEP layer.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from repro.core.events import Event
@@ -194,7 +195,13 @@ class ThematicMatcher:
         ``deliver_threshold`` mode.
         """
         if self._pipeline is None:
+            # The shared pipeline reads measure / calibration / k /
+            # min_relatedness through its ``matcher`` at run time, so it
+            # must point back here — weakly: a strong back-reference
+            # closes a matcher <-> pipeline cycle, and a dropped stack's
+            # score memo and tables then wait for the cycle collector.
             self._pipeline = self.new_pipeline()
+            self._pipeline.matcher = weakref.proxy(self)
         return self._pipeline.run(
             subscriptions,
             events,

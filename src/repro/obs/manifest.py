@@ -257,12 +257,12 @@ METRICS: tuple[MetricSpec, ...] = (
     MetricSpec(
         "score_store.hits",
         "counter",
-        "Lookups answered by the precomputed score store.",
+        "Memo misses the precomputed score store's arrays answered.",
     ),
     MetricSpec(
         "score_store.misses",
         "counter",
-        "Store lookups that fell through to the online cache/kernel.",
+        "Store probes that fell through to the wrapped measure.",
     ),
     # -- dynamic families ---------------------------------------------------
     MetricSpec(

@@ -7,7 +7,6 @@ and exposes the semantic measures and caches the matcher consumes.
 
 from repro.semantics.cache import (
     PersistentScoreStore,
-    PrecomputedScoreTable,
     RelatednessCache,
     precompute_scores,
 )
@@ -17,7 +16,6 @@ from repro.semantics.measures import (
     CachedMeasure,
     ExactMeasure,
     NonThematicMeasure,
-    PrecomputedMeasure,
     SemanticMeasure,
     ThematicMeasure,
 )
@@ -45,8 +43,6 @@ __all__ = [
     "ParametricVectorSpace",
     "PersistentScoreStore",
     "Posting",
-    "PrecomputedMeasure",
-    "PrecomputedScoreTable",
     "RelatednessCache",
     "STOP_WORDS",
     "SemanticMeasure",

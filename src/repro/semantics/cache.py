@@ -1,23 +1,30 @@
-"""Caching layers for relatedness scores.
+"""The relatedness score memo and its on-disk form.
 
-Three tiers back the efficiency story of the paper:
+The paper has one semantic measure ``sm`` (Section 4.3); its
+"precomputed relatedness scores" fast mode (Section 5, ~91,000
+events/sec) is that same function answered from a table. Both are one
+memo here:
 
-* :class:`RelatednessCache` — an online memo for ``sm`` calls; the
-  matcher repeatedly scores the same (term, theme) pairs across events,
-  so hit rates are high on realistic workloads.
-* :class:`PrecomputedScoreTable` — an offline table of all pairwise
-  scores between a subscription vocabulary and an event vocabulary, the
-  mode that lets the prior-work approximate matcher reach ~91,000
-  events/sec (Section 5). Built with :func:`precompute_scores`.
-* :class:`PersistentScoreStore` — the durable form of the offline
-  table: sorted 128-bit key-hash arrays plus a score column, written
-  through the versioned snapshot machinery in
-  :mod:`repro.semantics.persistence` and mapped back read-only, so a
-  warmed broker boots its precomputed tier from disk without
-  rebuilding (``repro warm-cache`` produces the file). Lookups are
-  hash + binary search; the snapshot carries the corpus digest so a
-  store can never be consulted against a space built from a different
-  corpus.
+* :func:`cache_key` — the one symmetric, normalized key every score is
+  filed under (the measures are symmetric functions).
+* :class:`RelatednessCache` — the one ``key -> score`` memo. Empty, it
+  is the online cache the matcher fills as it scores; constructed
+  pre-filled (:func:`precompute_scores`,
+  :func:`~repro.semantics.warm.warm_score_table`) it *is* the
+  precomputed table. ``max_entries`` bounds it either way.
+* :class:`PersistentScoreStore` — the one on-disk format: sorted 128-bit
+  key-hash arrays plus a score column, written through the versioned
+  snapshot machinery in :mod:`repro.semantics.persistence` and mapped
+  back read-only (``repro warm-cache`` produces the file). It keeps no
+  state of its own beyond the arrays: a cache takes it as its read-only
+  ``backing``, probes it for memo misses (hash + binary search, a whole
+  batch per probe) and writes hits back into the memo. The snapshot
+  carries the corpus digest so a store can never be consulted against a
+  space built from a different corpus.
+
+:class:`~repro.semantics.measures.CachedMeasure` is the one wrapper that
+puts a cache in front of a measure; the tier order memo -> backing store
+-> wrapped measure lives there and here, nowhere else.
 """
 
 from __future__ import annotations
@@ -42,8 +49,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.semantics.measures import SemanticMeasure
 
 __all__ = [
+    "cache_key",
     "RelatednessCache",
-    "PrecomputedScoreTable",
     "PersistentScoreStore",
     "precompute_scores",
 ]
@@ -53,29 +60,47 @@ __all__ = [
 CacheKey = tuple[tuple[str, tuple[str, ...]], tuple[str, tuple[str, ...]]]
 
 
-def _half(term: str, theme: Iterable[str]) -> tuple[str, tuple[str, ...]]:
-    return (normalize_term(term), theme_key(theme))
+def cache_key(
+    term_s: str,
+    theme_s: Iterable[str],
+    term_e: str,
+    theme_e: Iterable[str],
+) -> CacheKey:
+    """The symmetric, normalized key of one ``sm`` lookup."""
+    left = (normalize_term(term_s), theme_key(theme_s))
+    right = (normalize_term(term_e), theme_key(theme_e))
+    return (left, right) if left <= right else (right, left)
 
 
 @dataclass
 class RelatednessCache:
     """Symmetric memo of relatedness scores with hit counters.
 
-    Unbounded by default (the historical behaviour); pass
-    ``max_entries`` to cap memory on long-running brokers — eviction is
-    LRU (hits refresh recency), so the working set of a steady workload
-    stays resident while one-off pairs age out.
+    ``scores`` is the memo itself; pass a filled dict to construct a
+    precomputed table. Unbounded by default (the historical behaviour);
+    pass ``max_entries`` to cap memory on long-running brokers —
+    eviction is LRU (hits refresh recency), so the working set of a
+    steady workload stays resident while one-off pairs age out.
+
+    ``backing`` is an optional read-only :class:`PersistentScoreStore`:
+    a memo miss probes it (one probe per :meth:`get_many` batch) and a
+    store hit is written back, so each distinct key reaches the arrays
+    at most once while it stays memoized. Store misses are *not*
+    memoized here — the caller scores them and :meth:`put` s the result,
+    which is what keeps every entry under the ``max_entries`` bound.
 
     Lookups and inserts hold an internal lock: a cache is typically the
     one measure-level object *shared* across the sharded broker's worker
     threads, and the bounded mode's delete-and-reinsert recency refresh
-    is not atomic without one.
+    is not atomic without one. ``hits`` / ``misses`` count memo lookups
+    only; the store counts its own probes (``score_store.*``).
     """
 
-    _scores: dict[CacheKey, float] = field(default_factory=dict)
+    scores: dict[CacheKey, float] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
     max_entries: int | None = None
+    backing: PersistentScoreStore | None = None
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -90,76 +115,64 @@ class RelatednessCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def key(
-        self,
-        term_s: str,
-        theme_s: Iterable[str],
-        term_e: str,
-        theme_e: Iterable[str],
-    ) -> CacheKey:
-        left, right = _half(term_s, theme_s), _half(term_e, theme_e)
-        return (left, right) if left <= right else (right, left)
+    def _memo(self, key: CacheKey) -> float | None:
+        """One counted memo probe; the caller holds the lock."""
+        value = self.scores.get(key)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            if self.max_entries is not None:
+                # Refresh recency: dicts iterate in insertion order, so
+                # re-inserting moves the key to the "young" end.
+                del self.scores[key]
+                self.scores[key] = value
+        return value
 
     def get(self, key: CacheKey) -> float | None:
         with self._lock:
-            value = self._scores.get(key)
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-                if self.max_entries is not None:
-                    # Refresh recency: dicts iterate in insertion order, so
-                    # re-inserting moves the key to the "young" end.
-                    del self._scores[key]
-                    self._scores[key] = value
-            return value
+            value = self._memo(key)
+        if value is None and self.backing is not None:
+            value = self._fetch((key,))[0]
+        return value
+
+    def get_many(self, keys: Sequence[CacheKey]) -> list[float | None]:
+        """:meth:`get` for a batch: one lock hold, one store probe."""
+        with self._lock:
+            values = [self._memo(key) for key in keys]
+        if self.backing is not None:
+            missing = [i for i, value in enumerate(values) if value is None]
+            if missing:
+                found = self._fetch([keys[i] for i in missing])
+                for i, value in zip(missing, found, strict=True):
+                    values[i] = value
+        return values
+
+    def _fetch(self, keys: Sequence[CacheKey]) -> list[float | None]:
+        """Probe the backing store for memo misses; hits are written back."""
+        found = self.backing.probe(keys)
+        for key, value in zip(keys, found, strict=True):
+            if value is not None:
+                self.put(key, value)
+        return found
 
     def put(self, key: CacheKey, value: float) -> None:
         with self._lock:
-            if self.max_entries is not None and key not in self._scores:
-                while len(self._scores) >= self.max_entries:
-                    self._scores.pop(next(iter(self._scores)))
-            self._scores[key] = value
+            if self.max_entries is not None and key not in self.scores:
+                while len(self.scores) >= self.max_entries:
+                    self.scores.pop(next(iter(self.scores)))
+            self.scores[key] = value
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._scores)
+            return len(self.scores)
 
     def clear(self) -> None:
         with self._lock:
-            self._scores.clear()
+            self.scores.clear()
             self.hits = 0
             self.misses = 0
 
-
-@dataclass
-class PrecomputedScoreTable:
-    """Immutable-by-convention table of offline-computed scores.
-
-    Keys are symmetric (term, theme)-pair tuples like the online cache's;
-    lookups never mutate the table, making it safe to share across
-    matcher instances and threads.
-    """
-
-    scores: dict[CacheKey, float] = field(default_factory=dict)
-
-    def get(
-        self,
-        term_s: str,
-        theme_s: Iterable[str],
-        term_e: str,
-        theme_e: Iterable[str],
-    ) -> float | None:
-        left, right = _half(term_s, theme_s), _half(term_e, theme_e)
-        key = (left, right) if left <= right else (right, left)
-        return self.scores.get(key)
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-
-#: Distinguishes "memoized as a miss" (None) from "never looked up".
-_UNRESOLVED = object()
 
 #: Big-endian (hi, lo) split of a 16-byte digest.
 _UNPACK_HILO = struct.Struct(">QQ").unpack
@@ -190,24 +203,23 @@ def _hash_key(key: CacheKey) -> tuple[int, int]:
 
 
 class PersistentScoreStore:
-    """Sorted-array score tier, mmap-friendly and corpus-digest-checked.
+    """Sorted-array score table, mmap-friendly and corpus-digest-checked.
 
-    The same symmetric (term-pair, theme-set) keys as
-    :class:`PrecomputedScoreTable`, but hashed to 128 bits and held in
-    three parallel arrays (``key_hi`` sorted, ``key_lo`` tie-break,
-    ``scores``) instead of a dict — exactly the layout the binary
-    snapshot persists, so :func:`~repro.semantics.persistence.load_score_store`
-    can attach the arrays as read-only ``np.memmap`` views and lookups
-    page in lazily. :meth:`warm` materializes the arrays into RAM for
-    benchmark-steady access times.
+    The same symmetric :func:`cache_key` keys as the in-memory memo, but
+    hashed to 128 bits and held in three parallel arrays (``key_hi``
+    sorted, ``key_lo`` tie-break, ``scores``) instead of a dict —
+    exactly the layout the binary snapshot persists, so
+    :func:`~repro.semantics.persistence.load_score_store` can attach the
+    arrays as read-only ``np.memmap`` views and lookups page in lazily.
+    :meth:`warm` materializes the arrays into RAM for benchmark-steady
+    access times.
 
-    Lookups never mutate the arrays; hit/miss counters live in a
-    :class:`~repro.obs.MetricsRegistry` (``score_store.*``), so sharing
-    a store across broker threads is safe. Resolved keys are memoized in
-    a plain dict (idempotent inserts of immutable values — GIL-safe), so
-    the hash + binary search is paid once per distinct key; the memo is
-    bounded by the distinct keys actually queried, the same order as the
-    store itself.
+    Read-only and stateless apart from its counters: :meth:`probe` never
+    mutates the arrays and remembers nothing, and hit/miss counters live
+    in a :class:`~repro.obs.MetricsRegistry` (``score_store.*``), so
+    sharing a store across broker threads is safe. Memoizing what a
+    probe found is the job of the :class:`RelatednessCache` the store
+    backs.
     """
 
     def __init__(
@@ -228,7 +240,6 @@ class PersistentScoreStore:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._hits = self.registry.counter("score_store.hits")
         self._misses = self.registry.counter("score_store.misses")
-        self._memo: dict[CacheKey, float | None] = {}
 
     @classmethod
     def build(
@@ -257,18 +268,6 @@ class PersistentScoreStore:
             registry=registry,
         )
 
-    @classmethod
-    def from_table(
-        cls,
-        table: PrecomputedScoreTable,
-        *,
-        corpus_digest: str,
-        registry: MetricsRegistry | None = None,
-    ) -> "PersistentScoreStore":
-        return cls.build(
-            table.scores, corpus_digest=corpus_digest, registry=registry
-        )
-
     def arrays(self) -> dict[str, np.ndarray]:
         """The persisted columns, in snapshot layout order."""
         return {
@@ -277,61 +276,16 @@ class PersistentScoreStore:
             "scores": self._scores,
         }
 
-    def get(
-        self,
-        term_s: str,
-        theme_s: Iterable[str],
-        term_e: str,
-        theme_e: Iterable[str],
-    ) -> float | None:
-        left, right = _half(term_s, theme_s), _half(term_e, theme_e)
-        key = (left, right) if left <= right else (right, left)
-        memo = self._memo
-        if key in memo:
-            value = memo[key]
-            (self._misses if value is None else self._hits).inc()
-            return value
-        hi, lo = _hash_key(key)
-        row = int(np.searchsorted(self._key_hi, np.uint64(hi), side="left"))
-        count = len(self._key_hi)
-        while row < count and self._key_hi[row] == hi:
-            if self._key_lo[row] == lo:
-                self._hits.inc()
-                value = float(self._scores[row])
-                memo[key] = value
-                return value
-            row += 1
-        self._misses.inc()
-        memo[key] = None
-        return None
+    def probe(self, keys: Sequence[CacheKey]) -> list[float | None]:
+        """The stored score of each key, ``None`` where absent.
 
-    def get_batch(
-        self,
-        lookups: Sequence[tuple[str, Iterable[str], str, Iterable[str]]],
-    ) -> list[float | None]:
-        """Vectorized :meth:`get`: one array probe for the whole batch.
-
-        Unmemoized keys are hashed in one pass and located with a single
-        ``searchsorted`` call instead of one per key; symmetry, hit/miss
-        counters, and memoization are per-key identical to :meth:`get`.
-        This is the probe the pipeline's bulk scoring stage rides.
+        The one lookup routine: the whole batch is hashed in one pass
+        and located with a single ``searchsorted`` over ``key_hi``;
+        every key counts once toward ``score_store.hits`` / ``.misses``.
         """
-        results: list[float | None] = [None] * len(lookups)
-        memo = self._memo
-        hit_count = 0
-        pending: list[int] = []
-        keys: list[CacheKey] = []
-        for i, (term_s, theme_s, term_e, theme_e) in enumerate(lookups):
-            left, right = _half(term_s, theme_s), _half(term_e, theme_e)
-            key = (left, right) if left <= right else (right, left)
-            value = memo.get(key, _UNRESOLVED)
-            if value is _UNRESOLVED:
-                pending.append(i)
-                keys.append(key)
-            else:
-                results[i] = value
-                hit_count += value is not None
-        if pending and len(self._key_hi):
+        count = len(self._key_hi)
+        results: list[float | None] = [None] * len(keys)
+        if keys and count:
             hashed = [_hash_key(key) for key in keys]
             his = np.fromiter(
                 (hi for hi, _ in hashed), dtype=np.uint64, count=len(hashed)
@@ -340,38 +294,31 @@ class PersistentScoreStore:
                 (lo for _, lo in hashed), dtype=np.uint64, count=len(hashed)
             )
             key_hi, key_lo, scores = self._key_hi, self._key_lo, self._scores
-            count = len(key_hi)
             rows = np.searchsorted(key_hi, his, side="left")
             guarded = np.minimum(rows, count - 1)
-            in_range = rows < count
-            hi_match = in_range & (key_hi[guarded] == his)
-            lo_ok = key_lo[guarded] == los
-            first_hit = (hi_match & lo_ok).tolist()
-            run_start = (hi_match & ~lo_ok).tolist()
+            hi_match = (rows < count) & (key_hi[guarded] == his)
+            lo_match = key_lo[guarded] == los
+            first_hit = (hi_match & lo_match).tolist()
+            run_start = (hi_match & ~lo_match).tolist()
             values = scores[guarded].tolist()
-            for j, (i, key) in enumerate(zip(pending, keys, strict=True)):
+            for j, (hi, lo) in enumerate(hashed):
                 if first_hit[j]:
-                    value = float(values[j])
+                    results[j] = values[j]
                 elif run_start[j]:
                     # Duplicate-hi run whose first row's lo mismatched:
                     # walk the run for the real entry (vanishingly rare
                     # with 128-bit hashes, but correctness-mandatory).
-                    value = None
-                    row, hi, lo = int(rows[j]), int(his[j]), int(los[j])
+                    row = int(rows[j]) + 1
                     while row < count and key_hi[row] == hi:
                         if key_lo[row] == lo:
-                            value = float(scores[row])
+                            results[j] = float(scores[row])
                             break
                         row += 1
-                else:
-                    value = None
-                memo[key] = value
-                results[i] = value
-                hit_count += value is not None
+        hit_count = len(keys) - results.count(None)
         if hit_count:
             self._hits.inc(hit_count)
-        if len(lookups) - hit_count:
-            self._misses.inc(len(lookups) - hit_count)
+        if len(keys) - hit_count:
+            self._misses.inc(len(keys) - hit_count)
         return results
 
     def warm(self) -> "PersistentScoreStore":
@@ -416,22 +363,22 @@ def precompute_scores(
     *,
     theme_s: Iterable[str] = (),
     theme_e: Iterable[str] = (),
-) -> PrecomputedScoreTable:
+) -> RelatednessCache:
     """Score every (subscription term, event term) pair offline.
 
     ``measure`` is any :class:`~repro.semantics.measures.SemanticMeasure`.
-    The result answers exactly the queries the matcher will make for the
-    given themes; with empty themes it serves the non-thematic fast mode.
+    The returned pre-filled memo answers exactly the queries the matcher
+    will make for the given themes; with empty themes it serves the
+    non-thematic fast mode. Put it behind
+    :class:`~repro.semantics.measures.CachedMeasure` to match from it.
     """
-    table = PrecomputedScoreTable()
+    scores: dict[CacheKey, float] = {}
     ths, the = theme_key(theme_s), theme_key(theme_e)
     sub_terms = sorted({normalize_term(t) for t in subscription_terms})
     ev_terms = sorted({normalize_term(t) for t in event_terms})
     for ts in sub_terms:
-        left = (ts, ths)
         for te in ev_terms:
-            right = (te, the)
-            key = (left, right) if left <= right else (right, left)
-            if key not in table.scores:
-                table.scores[key] = measure.score(ts, ths, te, the)
-    return table
+            key = cache_key(ts, ths, te, the)
+            if key not in scores:
+                scores[key] = measure.score(ts, ths, te, the)
+    return RelatednessCache(scores)

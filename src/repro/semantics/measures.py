@@ -10,10 +10,15 @@ the approaches of Table 1:
 * :class:`ThematicMeasure` — thematic projection then distance; the
   contribution of this paper.
 
-:class:`CachedMeasure` memoizes any measure (symmetric keys), and
-:class:`PrecomputedMeasure` serves scores from a pre-built table — the
+:class:`CachedMeasure` is the one wrapper that answers any of them from a
+:class:`~repro.semantics.cache.RelatednessCache`: memo first, then the
+memo's backing :class:`~repro.semantics.cache.PersistentScoreStore` when
+it has one, then the wrapped measure. Over an empty cache that is online
+memoization; over a pre-filled one
+(:func:`~repro.semantics.cache.precompute_scores`) it is the
 "precomputed esa scores" fast mode that reaches ~91k events/sec in the
-prior-work comparison (Section 5, P16 bench).
+prior-work comparison (Section 5, P16 bench) — wrap
+:class:`ExactMeasure` to score pairs the table never enumerated as 0.0.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from typing import TYPE_CHECKING, Protocol
 
-from repro.semantics.cache import PrecomputedScoreTable, RelatednessCache
+from repro.semantics.cache import RelatednessCache, cache_key
 from repro.semantics.pvsm import ParametricVectorSpace
 from repro.semantics.space import DistributionalVectorSpace
 from repro.semantics.tokenize import normalize_term
@@ -35,7 +40,6 @@ __all__ = [
     "NonThematicMeasure",
     "ThematicMeasure",
     "CachedMeasure",
-    "PrecomputedMeasure",
 ]
 
 
@@ -179,11 +183,15 @@ class ThematicMeasure:
 
 
 class CachedMeasure:
-    """Memoizing wrapper around any measure.
+    """Any measure answered through a :class:`RelatednessCache`.
 
-    The underlying measures are symmetric in their (term, theme) pairs,
-    so the cache key is order-insensitive; hit statistics are exposed for
-    the throughput benchmarks.
+    The one tier order: the cache's memo, then its backing score store
+    (when it has one; store hits are written back into the memo), then
+    ``inner`` — whose answer is memoized too. The underlying measures are
+    symmetric in their (term, theme) pairs, so the cache key is
+    order-insensitive; hit statistics are exposed for the throughput
+    benchmarks. Every measure short-circuits identical terms to 1.0, so
+    probing the memo first changes no score.
     """
 
     def __init__(
@@ -198,8 +206,12 @@ class CachedMeasure:
 
     @property
     def vectorized(self) -> bool:
-        """Proxies the wrapped measure's batch-vectorization flag."""
-        return bool(getattr(self.inner, "vectorized", False))
+        """Whether a batch of lookups is better asked as one
+        :meth:`score_batch`: the wrapped measure's flag, or a backing
+        store (one array probe per batch instead of one per key)."""
+        return self.cache.backing is not None or bool(
+            getattr(self.inner, "vectorized", False)
+        )
 
     def score(
         self,
@@ -208,7 +220,7 @@ class CachedMeasure:
         term_e: str,
         theme_e: Iterable[str],
     ) -> float:
-        key = self.cache.key(term_s, theme_s, term_e, theme_e)
+        key = cache_key(term_s, theme_s, term_e, theme_e)
         hit = self.cache.get(key)
         if hit is not None:
             return hit
@@ -220,24 +232,18 @@ class CachedMeasure:
         self,
         lookups: Iterable[tuple[str, Iterable[str], str, Iterable[str]]],
     ) -> list[float]:
-        """Batched :meth:`score`: cache hits served, misses scored once.
+        """Batched :meth:`score`: one cache probe, misses scored once.
 
-        Misses go to the wrapped measure's ``score_batch`` when it has
-        one (one kernel call for a vectorized inner measure), otherwise
+        The whole batch rides one :meth:`RelatednessCache.get_many` (so
+        one store probe when the cache is backed). What is still missing
+        goes to the wrapped measure's ``score_batch`` when it has one
+        (one kernel call for a vectorized inner measure), otherwise
         per-lookup ``score`` — value-identical either way.
         """
         lookups = list(lookups)
-        out: list[float] = [0.0] * len(lookups)
-        missing: list[int] = []
-        keys = []
-        for i, lookup in enumerate(lookups):
-            key = self.cache.key(*lookup)
-            keys.append(key)
-            hit = self.cache.get(key)
-            if hit is not None:
-                out[i] = hit
-            else:
-                missing.append(i)
+        keys = [cache_key(*lookup) for lookup in lookups]
+        out = self.cache.get_many(keys)
+        missing = [i for i, value in enumerate(out) if value is None]
         if missing:
             inner_batch = getattr(self.inner, "score_batch", None)
             if inner_batch is not None:
@@ -246,92 +252,5 @@ class CachedMeasure:
                 values = [self.inner.score(*lookups[i]) for i in missing]
             for i, value in zip(missing, values, strict=True):
                 self.cache.put(keys[i], value)
-                out[i] = value
-        return out
-
-
-class PrecomputedMeasure:
-    """Measure answering from a precomputed score tier.
-
-    Models the prior-work fast mode where all pairwise esa scores are
-    computed offline. ``table`` is anything with the symmetric
-    ``get(term_s, theme_s, term_e, theme_e)`` signature — the in-memory
-    :class:`PrecomputedScoreTable` or the mmap-backed
-    :class:`~repro.semantics.cache.PersistentScoreStore`. Pairs missing
-    from the table fall back to ``fallback`` (default: score 0.0, i.e.
-    unknown pairs are unrelated, matching an offline table that
-    enumerated the whole vocabulary); layering the store over a
-    :class:`CachedMeasure` gives the full tier order the engine uses —
-    store, then online memo, then kernel.
-    """
-
-    def __init__(
-        self,
-        table: PrecomputedScoreTable,
-        fallback: SemanticMeasure | None = None,
-    ) -> None:
-        self.table = table
-        self.fallback = fallback
-
-    @property
-    def vectorized(self) -> bool:
-        """Proxies the fallback's batch-vectorization flag."""
-        return bool(getattr(self.fallback, "vectorized", False))
-
-    def score(
-        self,
-        term_s: str,
-        theme_s: Iterable[str],
-        term_e: str,
-        theme_e: Iterable[str],
-    ) -> float:
-        if normalize_term(term_s) == normalize_term(term_e):
-            return 1.0
-        hit = self.table.get(term_s, theme_s, term_e, theme_e)
-        if hit is not None:
-            return hit
-        if self.fallback is not None:
-            return self.fallback.score(term_s, theme_s, term_e, theme_e)
-        return 0.0
-
-    def score_batch(
-        self,
-        lookups: Iterable[tuple[str, Iterable[str], str, Iterable[str]]],
-    ) -> list[float]:
-        """Batched :meth:`score`: table hits served, misses in one batch.
-
-        Misses go to the fallback's ``score_batch`` when it has one (one
-        kernel call for a vectorized fallback), otherwise per-lookup
-        ``score`` — value-identical either way. This is what routes the
-        precomputed tier through the pipeline's bulk scoring stage, not
-        just the per-lookup loop.
-        """
-        lookups = list(lookups)
-        out: list[float] = [0.0] * len(lookups)
-        probe: list[int] = []
-        for i, (term_s, theme_s, term_e, theme_e) in enumerate(lookups):
-            if normalize_term(term_s) == normalize_term(term_e):
-                out[i] = 1.0
-            else:
-                probe.append(i)
-        missing: list[int] = []
-        if probe:
-            get_batch = getattr(self.table, "get_batch", None)
-            if get_batch is not None:
-                hits = get_batch([lookups[i] for i in probe])
-            else:
-                hits = [self.table.get(*lookups[i]) for i in probe]
-            for i, hit in zip(probe, hits, strict=True):
-                if hit is not None:
-                    out[i] = hit
-                elif self.fallback is not None:
-                    missing.append(i)
-        if missing:
-            fallback_batch = getattr(self.fallback, "score_batch", None)
-            if fallback_batch is not None:
-                values = fallback_batch([lookups[i] for i in missing])
-            else:
-                values = [self.fallback.score(*lookups[i]) for i in missing]
-            for i, value in zip(missing, values, strict=True):
                 out[i] = value
         return out

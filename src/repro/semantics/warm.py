@@ -29,8 +29,8 @@ from repro.core.subscriptions import Subscription
 from repro.semantics.cache import (
     CacheKey,
     PersistentScoreStore,
-    PrecomputedScoreTable,
     RelatednessCache,
+    cache_key,
 )
 from repro.semantics.pvsm import ParametricVectorSpace, theme_key
 from repro.semantics.tokenize import normalize_term
@@ -73,9 +73,8 @@ def plan_lookups(
     One lookup per distinct symmetric cache key: identical normalized
     terms are skipped (every measure short-circuits them to 1.0, so the
     store never needs them) and ``(s, e)`` / ``(e, s)`` collapse to one
-    entry, exactly as the store's symmetric ``get`` does.
+    entry, exactly as :func:`~repro.semantics.cache.cache_key` does.
     """
-    cache = RelatednessCache()
     seen: set[CacheKey] = set()
     lookups: list[tuple[str, tuple[str, ...], str, tuple[str, ...]]] = []
     pairs = [
@@ -88,7 +87,7 @@ def plan_lookups(
             for term_e in event_terms:
                 if norm_s == normalize_term(term_e):
                     continue
-                key = cache.key(term_s, theme_s, term_e, theme_e)
+                key = cache_key(term_s, theme_s, term_e, theme_e)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -137,8 +136,9 @@ def warm_score_table(
     *,
     mode: str = "common",
     workers: int = 0,
-) -> PrecomputedScoreTable:
-    """Score every lookup through the vectorized kernel, into a table.
+) -> RelatednessCache:
+    """Score every lookup through the vectorized kernel, into a
+    pre-filled :class:`~repro.semantics.cache.RelatednessCache`.
 
     ``workers=0`` scores in-process (one kernel, chunked batches);
     ``workers>0`` spawns that many processes over the columnar-snapshot
@@ -146,7 +146,6 @@ def warm_score_table(
     kernel float path, so the resulting tables are bit-identical.
     """
     lookups = list(lookups)
-    cache = RelatednessCache()
     scores: list[float] = []
     chunks = [
         lookups[start : start + _CHUNK]
@@ -189,10 +188,12 @@ def warm_score_table(
                     scores.extend(part)
         finally:
             os.unlink(space_path)
-    table = PrecomputedScoreTable()
-    for lookup, score in zip(lookups, scores, strict=True):
-        table.scores[cache.key(*lookup)] = score
-    return table
+    return RelatednessCache(
+        {
+            cache_key(*lookup): score
+            for lookup, score in zip(lookups, scores, strict=True)
+        }
+    )
 
 
 def build_score_store(
@@ -220,6 +221,6 @@ def build_score_store(
     space.warm(set(sub_terms) | set(event_terms), themes)
     lookups = plan_lookups(sub_terms, event_terms, theme_pairs)
     table = warm_score_table(space, lookups, mode=mode, workers=workers)
-    return PersistentScoreStore.from_table(
-        table, corpus_digest=corpus_digest(space.documents)
+    return PersistentScoreStore.build(
+        table.scores, corpus_digest=corpus_digest(space.documents)
     )

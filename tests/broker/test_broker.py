@@ -15,7 +15,8 @@ from repro.broker import (
 )
 from repro.core.language import parse_event, parse_subscription
 from repro.core.matcher import ThematicMatcher
-from repro.semantics.measures import ThematicMeasure
+from repro.semantics.cache import RelatednessCache
+from repro.semantics.measures import CachedMeasure, ThematicMeasure
 
 EVENT = parse_event(
     "({energy, appliances, building},"
@@ -91,6 +92,27 @@ class TestPubSub:
         broker.publish(EVENT)
         gc.collect()
         assert [ref() for ref in retired] == [None] * 6
+
+    def test_dropped_stack_frees_its_score_memo_without_the_collector(
+        self, space
+    ):
+        """The matcher's lazy shared pipeline must not point back at the
+        matcher strongly: that cycle kept a dropped inline stack's score
+        memo and side-score tables alive until a ``gc.collect()``."""
+        cache = RelatednessCache()
+        matcher = ThematicMatcher(CachedMeasure(ThematicMeasure(space), cache))
+        broker = ThematicBroker(matcher)
+        handle = broker.subscribe(MATCHING)
+        freed = weakref.ref(cache)
+        gc.disable()
+        try:
+            assert broker.publish(EVENT) == 1
+            assert len(cache) > 0
+            broker.close()
+            del cache, matcher, broker, handle
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestTimeDecoupling:

@@ -8,8 +8,10 @@ Engine-level guarantees of the ANN prefilter and precomputed tier:
   (hypothesis-driven over subscription/event samples);
 * attaching a warmed score store never changes match results: a
   store-backed engine delivers exactly what the same engine without the
-  store delivers, because the store was warmed on the same kernel float
-  path its fallback scores with;
+  store delivers when the matcher scores on the kernel float path the
+  store was warmed on, and the same deliveries with scores within
+  ``PARITY_TOLERANCE`` when it scores on the scalar path — whether the
+  matcher's measure is bare or already a ``CachedMeasure``;
 * every new config knob validates loudly.
 """
 
@@ -21,12 +23,15 @@ from repro.core.engine import EngineConfig, ThematicEventEngine
 from repro.core.language import parse_event, parse_subscription
 from repro.core.matcher import ThematicMatcher
 from repro.core.prefilter import PREFILTER_MODES, TwoPhaseMatcher
+from repro.semantics.documents import DocumentSet
+from repro.semantics.kernel import PARITY_TOLERANCE
 from repro.semantics.measures import (
     CachedMeasure,
     ExactMeasure,
     ThematicMeasure,
 )
 from repro.semantics.persistence import save_score_store
+from repro.semantics.pvsm import ParametricVectorSpace
 from repro.semantics.warm import build_score_store
 
 EVENTS = [
@@ -186,18 +191,27 @@ class TestStoreBackedEngine:
         save_score_store(store, path)
         return path
 
-    def engines(self, space, store_path, warm_on_start=False):
+    MEASURES = {
+        "kernel": lambda space: ThematicMeasure(space, vectorized=True),
+        "bare": ThematicMeasure,
+        "cached": lambda space: CachedMeasure(ThematicMeasure(space)),
+    }
+
+    def engines(self, space, store_path, warm_on_start=False, measure="kernel"):
+        build = self.MEASURES[measure]
         plain = ThematicEventEngine(
-            ThematicMatcher(ThematicMeasure(space, vectorized=True)),
-            EngineConfig(),
+            ThematicMatcher(build(space)), EngineConfig()
         )
         stored = ThematicEventEngine(
-            ThematicMatcher(ThematicMeasure(space, vectorized=True)),
+            ThematicMatcher(build(space)),
             EngineConfig(
                 score_store_path=str(store_path),
                 warm_on_start=warm_on_start,
             ),
         )
+        for engine in (plain, stored):
+            for sub in SUBSCRIPTIONS:
+                engine.subscribe(sub, lambda result: None)
         return plain, stored
 
     @pytest.mark.parametrize("warm_on_start", [False, True])
@@ -205,18 +219,42 @@ class TestStoreBackedEngine:
         self, space, store_path, warm_on_start
     ):
         plain, stored = self.engines(space, store_path, warm_on_start)
-        for engine in (plain, stored):
-            for sub in SUBSCRIPTIONS:
-                engine.subscribe(sub, lambda result: None)
         for event in EVENTS:
             assert result_signature(plain.process(event)) == (
                 result_signature(stored.process(event))
             )
 
+    @pytest.mark.parametrize("measure", ["bare", "cached"])
+    def test_scalar_measure_store_parity(
+        self, space, store_path, measure
+    ):
+        plain, stored = self.engines(space, store_path, measure=measure)
+        delivered = 0
+        for event in EVENTS:
+            expected, got = plain.process(event), stored.process(event)
+            assert [(id(r.subscription), id(r.event)) for r in got] == [
+                (id(r.subscription), id(r.event)) for r in expected
+            ]
+            for mine, theirs in zip(got, expected, strict=True):
+                assert abs(mine.score - theirs.score) <= PARITY_TOLERANCE
+                assert [
+                    (c.predicate_index, c.tuple_index)
+                    for c in mine.mapping.correspondences
+                ] == [
+                    (c.predicate_index, c.tuple_index)
+                    for c in theirs.mapping.correspondences
+                ]
+            delivered += len(got)
+        assert delivered > 0
+        counters = stored.stats.registry.snapshot()["counters"]
+        assert counters["score_store.hits"] > 0
+        # The caller's matcher keeps its own measure; only the engine's
+        # copy gained the store-backed memo.
+        assert isinstance(stored.matcher.measure, CachedMeasure)
+        assert stored.matcher.measure.cache.backing is stored.score_store
+
     def test_store_is_actually_consulted(self, space, store_path):
         _, stored = self.engines(space, store_path)
-        for sub in SUBSCRIPTIONS:
-            stored.subscribe(sub, lambda result: None)
         for event in EVENTS:
             stored.process(event)
         counters = stored.stats.registry.snapshot()["counters"]
@@ -225,6 +263,16 @@ class TestStoreBackedEngine:
     def test_store_exposed_on_engine(self, space, store_path):
         _, stored = self.engines(space, store_path)
         assert stored.score_store is not None
+
+    def test_store_from_another_corpus_is_rejected(self, space, store_path):
+        other = ParametricVectorSpace(
+            DocumentSet.from_texts(["energy power grid", "office room desk"])
+        )
+        with pytest.raises(ValueError, match="digest mismatch"):
+            ThematicEventEngine(
+                ThematicMatcher(CachedMeasure(ThematicMeasure(other))),
+                EngineConfig(score_store_path=str(store_path)),
+            )
 
 
 class TestConfigValidation:
@@ -268,10 +316,9 @@ class TestConfigValidation:
         from repro.broker.sharded import ShardedBroker
 
         matcher = ThematicMatcher(ThematicMeasure(space, vectorized=True))
-        with pytest.raises(ValueError, match="executor='process'"):
-            ShardedBroker(
-                matcher,
-                BrokerConfig(
-                    executor="process", prefilter_mode="semantic"
-                ),
-            )
+        for knob in (
+            {"prefilter_mode": "semantic"},
+            {"score_store_path": "scores.bin"},
+        ):
+            with pytest.raises(ValueError, match="executor='process'"):
+                ShardedBroker(matcher, BrokerConfig(executor="process", **knob))

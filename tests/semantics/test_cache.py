@@ -1,7 +1,8 @@
-"""Unit tests for the relatedness caches and precomputed tables."""
+"""Unit tests for the relatedness memo, empty and pre-filled."""
 
 from repro.semantics.cache import (
     RelatednessCache,
+    cache_key,
     precompute_scores,
 )
 
@@ -20,21 +21,19 @@ class _CountingMeasure:
 class TestRelatednessCache:
     def test_put_get_roundtrip(self):
         cache = RelatednessCache()
-        key = cache.key("a1", (), "b1", ())
+        key = cache_key("a1", (), "b1", ())
         cache.put(key, 0.7)
         assert cache.get(key) == 0.7
 
     def test_symmetric_keys(self):
-        cache = RelatednessCache()
-        assert cache.key("a1", ("t",), "b1", ()) == cache.key("b1", (), "a1", ("t",))
+        assert cache_key("a1", ("t",), "b1", ()) == cache_key("b1", (), "a1", ("t",))
 
     def test_normalized_keys(self):
-        cache = RelatednessCache()
-        assert cache.key("Energy ", (), "b1", ()) == cache.key("energy", (), "b1", ())
+        assert cache_key("Energy ", (), "b1", ()) == cache_key("energy", (), "b1", ())
 
     def test_counters(self):
         cache = RelatednessCache()
-        key = cache.key("a1", (), "b1", ())
+        key = cache_key("a1", (), "b1", ())
         assert cache.get(key) is None
         cache.put(key, 0.1)
         cache.get(key)
@@ -43,14 +42,14 @@ class TestRelatednessCache:
 
     def test_clear(self):
         cache = RelatednessCache()
-        cache.put(cache.key("a1", (), "b1", ()), 0.1)
+        cache.put(cache_key("a1", (), "b1", ()), 0.1)
         cache.clear()
         assert len(cache) == 0
         assert cache.hits == 0
 
     def test_hit_rate(self):
         cache = RelatednessCache()
-        key = cache.key("a1", (), "b1", ())
+        key = cache_key("a1", (), "b1", ())
         assert cache.hit_rate == 0.0
         cache.get(key)  # miss
         cache.put(key, 0.1)
@@ -61,13 +60,13 @@ class TestRelatednessCache:
     def test_unbounded_by_default(self):
         cache = RelatednessCache()
         for i in range(1000):
-            cache.put(cache.key(f"t{i}", (), "b1", ()), 0.1)
+            cache.put(cache_key(f"t{i}", (), "b1", ()), 0.1)
         assert len(cache) == 1000
 
 
 class TestBoundedCache:
     def _key(self, cache, i):
-        return cache.key(f"t{i}", (), "z1", ())
+        return cache_key(f"t{i}", (), "z1", ())
 
     def test_max_entries_evicts_oldest(self):
         cache = RelatednessCache(max_entries=2)
@@ -121,10 +120,10 @@ class TestPrecomputeScores:
         table = precompute_scores(
             measure, ["a1"], ["b1"], theme_s=("x",), theme_e=("y",)
         )
-        assert table.get("a1", ("x",), "b1", ("y",)) == 0.5
-        assert table.get("a1", (), "b1", ()) is None
+        assert table.get(cache_key("a1", ("x",), "b1", ("y",))) == 0.5
+        assert table.get(cache_key("a1", (), "b1", ())) is None
 
     def test_symmetric_lookup(self):
         measure = _CountingMeasure()
         table = precompute_scores(measure, ["a1"], ["b1"])
-        assert table.get("b1", (), "a1", ()) == 0.5
+        assert table.get(cache_key("b1", (), "a1", ())) == 0.5

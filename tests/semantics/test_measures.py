@@ -1,16 +1,12 @@
 """Unit tests for the semantic measures of Section 4.3 / Table 1."""
 
-import math
-
 import pytest
 
-from repro.semantics.cache import PrecomputedScoreTable, precompute_scores
 from repro.semantics.documents import DocumentSet
 from repro.semantics.measures import (
     CachedMeasure,
     ExactMeasure,
     NonThematicMeasure,
-    PrecomputedMeasure,
     ThematicMeasure,
 )
 from repro.semantics.pvsm import ParametricVectorSpace
@@ -96,29 +92,3 @@ class TestCachedMeasure:
         b = cached.score("power", (), "consumption", ())
         assert len(cached.cache) == 2
         assert a != b
-
-
-class TestPrecomputedMeasure:
-    def test_serves_from_table(self, toy_space):
-        inner = NonThematicMeasure(toy_space)
-        table = precompute_scores(inner, ["power"], ["meter", "garage"])
-        measure = PrecomputedMeasure(table)
-        assert math.isclose(
-            measure.score("power", (), "meter", ()),
-            inner.score("power", (), "meter", ()),
-        )
-
-    def test_identical_always_one(self):
-        measure = PrecomputedMeasure(PrecomputedScoreTable())
-        assert measure.score("x1", (), "x1", ()) == 1.0
-
-    def test_missing_pair_defaults_to_zero(self):
-        measure = PrecomputedMeasure(PrecomputedScoreTable())
-        assert measure.score("a1", (), "b1", ()) == 0.0
-
-    def test_missing_pair_uses_fallback(self, toy_space):
-        inner = NonThematicMeasure(toy_space)
-        measure = PrecomputedMeasure(PrecomputedScoreTable(), fallback=inner)
-        assert measure.score("power", (), "meter", ()) == inner.score(
-            "power", (), "meter", ()
-        )

@@ -95,6 +95,20 @@ def test_evaluate_tiny(capsys):
     assert "F1 delta" in out
 
 
+def test_warm_cache_round_trip(capsys, tmp_path):
+    """Build in-process, reload-verify, spot-check against the kernel."""
+    out_path = tmp_path / "warm" / "scores.bin"
+    code = main(
+        ["warm-cache", "--scale", "tiny", "--out", str(out_path),
+         "--check-parity", "16"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out_path.exists()
+    assert "reload-verify ok" in out
+    assert "parity vs online kernel over 16 samples" in out
+
+
 class TestTracing:
     def test_match_trace_prints_stage_timings(self, capsys):
         code = main(

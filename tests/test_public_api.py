@@ -21,6 +21,7 @@ PUBLIC_API = [
     "BrokerMetrics",
     "BrokerOverlay",
     "CEPEngine",
+    "CachedMeasure",
     "Calibration",
     "CallbackFault",
     "CircuitBreaker",
@@ -56,9 +57,8 @@ PUBLIC_API = [
     "ParametricVectorSpace",
     "Pattern",
     "PersistentScoreStore",
-    "PrecomputedMeasure",
-    "PrecomputedScoreTable",
     "Predicate",
+    "RelatednessCache",
     "ReliableDelivery",
     "RewritingMatcher",
     "ScorerFault",
