@@ -1,10 +1,10 @@
-"""Kernel-scaling ladder: scalar serial -> vectorized kernel -> shard pools.
+"""Kernel-scaling ladder: scalar serial -> vectorized kernel -> shard pool.
 
 Not a paper figure: this bench measures what the vectorized relatedness
-kernel and the shard executors buy over the serial scalar fig9
+kernel and the thread-pool shards buy over the serial scalar fig9
 front-end *without changing a single delivery*. Every timed run
 re-checks parity inside :func:`~repro.evaluation.compare_kernel_scaling`
-itself: the three kernel configurations must be **bit-identical** to one
+itself: the two kernel configurations must be **bit-identical** to one
 another, and the scalar reference must match them within the kernel's
 documented ``PARITY_TOLERANCE``. Throughput without identical deliveries
 fails the run, not the report.
@@ -16,21 +16,16 @@ Ladder rungs (all timed over the same themed fig9-style workload):
   broker core's delivery-gated dispatch);
 * ``serial_kernel`` — same serial broker, vectorized kernel (batch size
   is 1 per dispatch, so this rung isolates kernel overhead, not wins);
-* ``thread_shards`` — ShardedBroker, thread executor, kernel: ingress
-  micro-batching feeds the pipeline whole batches (one kernel call each);
-* ``process_shards`` — ShardedBroker, spawned worker processes attached
-  zero-copy to the columnar space snapshot.
+* ``thread_shards`` — ShardedBroker on its thread pool, kernel: ingress
+  micro-batching feeds the pipeline whole batches (one kernel call each).
 
-The original target was >= 5x over the serial fig9 number at 4+ process
-shards. That margin requires 4+ physical cores; on the 1-2 vCPU
-containers this repo is grown in, shard pools cannot overlap and the
-kernel's per-call overhead is not amortized at 24 subscriptions, so
-every kernel rung reads *below* the scalar serial rung (0.75-0.8x in
-the committed baseline). The run therefore asserts parity only and
-records each ratio next to the host's ``nproc``; whether the kernel and
-the executors earn their keep is the earn-or-delete audit's question
-(ROADMAP), answered from ``BENCH_kernel_scaling.json`` on a recorded
-host rather than from a direction gate that the host decides.
+On a 1-2 vCPU host the shard pool cannot overlap and the kernel's
+per-call overhead is not amortized at 24 subscriptions, so both kernel
+rungs can read *below* the scalar serial rung. The run therefore
+asserts parity only and records each ratio next to the host's
+``nproc``; whether the kernel earns its keep is answered from
+``BENCH_kernel_scaling.json`` on a recorded host rather than from a
+direction gate that the host decides.
 """
 
 from repro.evaluation import compare_kernel_scaling, format_comparison
@@ -49,7 +44,7 @@ def test_kernel_scaling(benchmark, workload, bench_artifact):
                 workload, shards=SHARDS, max_batch=MAX_BATCH, repeats=REPEATS
             )
         )
-        return comparison["events"] * 4 * REPEATS
+        return comparison["events"] * len(comparison["configs"]) * REPEATS
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
@@ -64,7 +59,6 @@ def test_kernel_scaling(benchmark, workload, bench_artifact):
     for name, label in (
         ("serial_kernel", "recorded (batch=1)"),
         ("thread_shards", f"recorded (nproc {comparison['host_nproc']})"),
-        ("process_shards", ">= 5x on 4+ cores"),
     ):
         rows.append(
             (

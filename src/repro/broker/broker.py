@@ -43,7 +43,7 @@ class ThematicBroker(BrokerCore):
     @property
     def engine(self) -> ThematicEventEngine:
         """The one shard's engine (stats, degraded-mode controls)."""
-        return self._executor.engines[0]
+        return self._shards.engines[0]
 
     def publish(self, event: Event) -> int:
         """Match ``event`` against all subscriptions and deliver; returns

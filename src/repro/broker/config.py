@@ -38,8 +38,10 @@ class BrokerConfig:
     linger:
         Seconds the batcher waits for the batch to fill (sharded).
     workers:
-        Shard-scoring pool size; ``None`` sizes it to the shard count,
-        ``0`` forces inline scoring (sharded).
+        Shard-scoring thread pool size (sharded). ``None`` sizes it to
+        ``min(shards, os.cpu_count())``, so a one-CPU host gets no pool
+        and matches inline; any value below 2 (``0`` included) forces
+        inline scoring.
     delivery:
         Default :class:`~repro.broker.reliability.DeliveryPolicy` for
         every subscriber (all brokers); per-subscription overrides via
@@ -52,11 +54,11 @@ class BrokerConfig:
     dead_letter_capacity:
         Bound on the dead-letter queue, ``None`` for unbounded.
     executor:
-        Shard execution backend (sharded): ``"thread"`` (default) runs
-        shard engines on an in-process pool; ``"process"`` spawns one
-        worker process per shard attached zero-copy to a shared columnar
-        snapshot of the semantic space (requires a vectorized
-        kernel-backed matcher — see :mod:`repro.broker.procshard`).
+        Shard execution backend; ``"thread"`` is the only accepted
+        value and any other raises ``ValueError`` at construction.
+        Shards always run as in-process engines. The field is kept only
+        because the perf-ledger workloads pass ``executor="thread"``;
+        it can go once that caller stops passing it.
     durability:
         Optional :class:`~repro.broker.durability.DurabilityPolicy`
         (all brokers). When set, registrations, published events, inbox

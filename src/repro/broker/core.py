@@ -29,11 +29,11 @@ choices* over it and nothing else:
 * :class:`~repro.broker.sharded.ShardedBroker` — ``config.shards``
   shards, fed from a queue in micro-batches.
 
-Shard execution sits behind the
-:class:`~repro.broker.shards.ShardExecutor` surface (in-process engines
-or spawned worker processes), so the core never asks which one it has.
+Shards are in-process engines (:class:`~repro.broker.shards.EngineShards`),
+matched inline or on a thread pool; the core only places registrations
+on them and merges their survivors.
 
-Three properties the tests pin down, for every front-end and executor:
+Three properties the tests pin down, for every front-end:
 
 * **Parity.** Deliveries — the set, the per-subscriber order, the
   sequence stamps, and every score — are bit-identical, and equal to
@@ -60,14 +60,13 @@ from typing import Any
 
 from repro.broker.config import BrokerConfig
 from repro.broker.durability import BrokerDurability
-from repro.broker.procshard import ProcessShardExecutor
 from repro.broker.reliability import (
     DeadLetterQueue,
     DeadLetterRecord,
     DeliveryPolicy,
     ReliableDelivery,
 )
-from repro.broker.shards import STRATEGIES, EngineShards, ShardExecutor
+from repro.broker.shards import STRATEGIES, EngineShards
 from repro.core.engine import SubscriptionHandle
 from repro.core.events import Event
 from repro.core.matcher import MatchResult, ThematicMatcher
@@ -168,11 +167,8 @@ class BrokerCore:
         (``match``/``matches``/``score``/``match_batch``/``threshold``).
     config:
         A :class:`~repro.broker.config.BrokerConfig` (defaults when
-        omitted). With ``executor="process"`` the shard engines live in
-        spawned worker processes attached zero-copy to a shared
-        columnar snapshot of the semantic space
-        (:class:`~repro.broker.procshard.ProcessShardExecutor`); the
-        matcher must then score through the vectorized kernel.
+        omitted). The shard engines always run in this process
+        (:class:`~repro.broker.shards.EngineShards`).
     shards:
         Subscription shard count, chosen by the front-end.
     registry:
@@ -209,20 +205,9 @@ class BrokerCore:
                     f"unknown shard strategy {strategy!r} "
                     f"(expected one of {sorted(STRATEGIES)})"
                 ) from None
-        if config.executor not in ("thread", "process"):
+        if config.executor != "thread":
             raise ValueError(
-                f"unknown executor {config.executor!r} "
-                "(expected 'thread' or 'process')"
-            )
-        process = config.executor == "process"
-        if process and (config.prefilter_mode != "exact" or config.score_store_path):
-            # The worker protocol ships only the columnar snapshot;
-            # threading the anchor index and score store through it is
-            # future work, so reject loudly instead of silently dropping
-            # the knobs in the workers.
-            raise ValueError(
-                "prefilter_mode/score_store_path are not supported "
-                "with executor='process' yet; use the thread executor"
+                f"unknown executor {config.executor!r} (expected 'thread')"
             )
         self.matcher = matcher
         self.metrics = BrokerMetrics(registry)
@@ -248,25 +233,15 @@ class BrokerCore:
             clock=clock,
             durability=self.durability,
         )
-        self._executor: ShardExecutor
-        if process:
-            self._executor = ProcessShardExecutor(
-                matcher,
-                shards=shards,
-                degraded=config.degraded,
-                clock=self._clock,
-                registry=self.metrics.registry,
-            )
-        else:
-            self._executor = EngineShards(
-                matcher,
-                config,
-                shards=shards,
-                registry=self.metrics.registry,
-                clock=clock,
-            )
+        self._shards = EngineShards(
+            matcher,
+            config,
+            shards=shards,
+            registry=self.metrics.registry,
+            clock=clock,
+        )
         # Guards the subscriber table, the sequence counter, the replay
-        # ring and the executor. Deliveries are dispatched *after* it is
+        # ring and the shards. Deliveries are dispatched *after* it is
         # released (lock-scope rule RL100: user callbacks may re-enter
         # subscribe/unsubscribe/publish). Reentrant because measures and
         # placement strategies are user-supplied code that does run
@@ -315,7 +290,7 @@ class BrokerCore:
             if replay:
                 for sequence, event in list(self._replay):
                     self.metrics.inc("evaluations")
-                    result = self._executor.match_one(
+                    result = self._shards.match_one(
                         subscription, event, shard=entry.shard
                     )
                     if result is not None:
@@ -361,7 +336,7 @@ class BrokerCore:
             callback=callback,
             key=key,
         )
-        loads = self._executor.loads()
+        loads = self._shards.loads()
         shard = self._strategy.assign(sub_id, loads)
         if not 0 <= shard < len(loads):
             raise ValueError(
@@ -377,7 +352,7 @@ class BrokerCore:
                 # observe any event.
                 durability.log_subscribe(handle)
         self._next_id = max(self._next_id, sub_id + 1)
-        self._executor.subscribe(shard, sub_id, subscription)
+        self._shards.subscribe(shard, sub_id, subscription)
         entry = self._subscribers[sub_id] = _Entry(handle, shard)
         return entry
 
@@ -394,8 +369,8 @@ class BrokerCore:
                 # the state change).
                 self.durability.log_unsubscribe(handle.id)
             del self._subscribers[handle.id]
-            self._executor.unsubscribe(entry.shard, handle.id)
-            for source, target in self._strategy.rebalance(self._executor.loads()):
+            self._shards.unsubscribe(entry.shard, handle.id)
+            for source, target in self._strategy.rebalance(self._shards.loads()):
                 self._move_one(source, target)
             return True
 
@@ -408,7 +383,7 @@ class BrokerCore:
         """
         for entry in reversed(self._subscribers.values()):
             if entry.shard == source:
-                self._executor.move(
+                self._shards.move(
                     entry.handle.id, source, target, entry.handle.subscription
                 )
                 entry.shard = target
@@ -421,7 +396,7 @@ class BrokerCore:
     def shard_sizes(self) -> list[int]:
         """Current subscription count per shard."""
         with self._lock:
-            return self._executor.loads()
+            return self._shards.loads()
 
     # -- the dispatch path -------------------------------------------------
 
@@ -495,7 +470,7 @@ class BrokerCore:
                     ),
                 )
                 for order, j, result in sorted(
-                    self._executor.deliverable(events), key=itemgetter(1, 0)
+                    self._shards.deliverable(events), key=itemgetter(1, 0)
                 )
             ]
         # Matching and sequencing happen under the lock; the callbacks
@@ -544,7 +519,7 @@ class BrokerCore:
             entry = self._subscribers.get(sub_id)
             event = state.event(sequence)
             result = (
-                self._executor.match_one(
+                self._shards.match_one(
                     entry.handle.subscription, event, shard=entry.shard
                 )
                 if entry is not None and event is not None
@@ -604,8 +579,8 @@ class BrokerCore:
         return 0
 
     def close(self) -> None:
-        """Stop the shard executor; flush and close the journal."""
-        self._executor.close()
+        """Stop the shard pool; flush and close the journal."""
+        self._shards.close()
         if self.durability is not None:
             self.durability.close()
 
@@ -628,7 +603,7 @@ class BrokerCore:
         """
         snapshot: dict[str, Any] = dict(self.metrics.snapshot())
         snapshot["pending"] = self.pending()
-        shard_snapshots = self._executor.shard_snapshots()
+        shard_snapshots = self._shards.shard_snapshots()
         snapshot["shards"] = {
             f"shard{index}": shard_snapshot
             for index, shard_snapshot in enumerate(shard_snapshots)

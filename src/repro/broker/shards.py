@@ -1,15 +1,10 @@
-"""Subscription shards: placement strategies and the executor surface.
+"""Subscription shards: placement strategies and the shard engines.
 
 The broker core (:mod:`repro.broker.core`) partitions its subscription
 set into N shards and never looks inside one: every shard operation
-goes through the small :class:`ShardExecutor` surface, which has two
-implementations —
-
-* :class:`EngineShards` (here): one in-process
-  :class:`~repro.core.engine.ThematicEventEngine` per shard, matched
-  inline or fanned out over a thread pool;
-* :class:`~repro.broker.procshard.ProcessShardExecutor`: one spawned
-  worker process per shard over a zero-copy snapshot of the space.
+goes through :class:`EngineShards` — one in-process
+:class:`~repro.core.engine.ThematicEventEngine` per shard, matched
+inline or fanned out over a thread pool.
 
 Shard assignment is pluggable: :class:`HashSharding` (stable modulo
 placement, no rebalancing) or :class:`SizeBalancedSharding` (least-
@@ -24,7 +19,7 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Protocol
+from typing import Any
 
 from repro.broker.config import BrokerConfig, engine_config
 from repro.core.engine import SubscriptionHandle, ThematicEventEngine
@@ -39,7 +34,6 @@ __all__ = [
     "STRATEGIES",
     "EngineShards",
     "HashSharding",
-    "ShardExecutor",
     "ShardSlot",
     "SizeBalancedSharding",
 ]
@@ -120,44 +114,6 @@ class ShardSlot:
         )
 
 
-class ShardExecutor(Protocol):
-    """What the broker core needs from whatever runs its shards.
-
-    All calls are serialized by the core's registration lock.
-    """
-
-    @property
-    def engines(self) -> Sequence[ThematicEventEngine]:
-        """The in-process shard engines (empty when shards live elsewhere)."""
-
-    def subscribe(
-        self, shard_index: int, order: int, subscription: Subscription
-    ) -> None: ...
-
-    def unsubscribe(self, shard_index: int, order: int) -> None: ...
-
-    def move(
-        self, order: int, source: int, target: int, subscription: Subscription
-    ) -> None: ...
-
-    def loads(self) -> list[int]:
-        """Current subscription count per shard."""
-
-    def deliverable(self, events: list[Event]) -> list[Survivor]:
-        """Every deliverable pair of one micro-batch, across all shards,
-        in no particular order."""
-
-    def match_one(
-        self, subscription: Subscription, event: Event, *, shard: int = 0
-    ) -> MatchResult | None:
-        """Threshold-gated single-pair match (replay, journal restore)."""
-
-    def shard_snapshots(self) -> list[dict[str, Any]]:
-        """Each shard's metrics-registry snapshot."""
-
-    def close(self) -> None: ...
-
-
 class EngineShards:
     """In-process shards: one engine each, inline or on a thread pool.
 
@@ -167,8 +123,10 @@ class EngineShards:
     Several shards each get a private staged pipeline (per-shard
     term-pair dedup and compiled subscriptions persist without
     cross-shard locking) and a private registry, and match concurrently
-    on ``config.workers`` pool threads (``None`` sizes the pool to the
-    shard count, ``0`` forces inline matching).
+    on ``config.workers`` pool threads. ``None`` sizes the pool to
+    ``min(shards, os.cpu_count())``, so a one-CPU host matches inline;
+    any value below 2 (``0`` included) forces inline matching. All
+    calls are serialized by the broker core's registration lock.
 
     Matchers exposing ``new_pipeline`` (the
     :class:`~repro.core.matcher.ThematicMatcher` family) get the private

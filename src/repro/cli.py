@@ -430,13 +430,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             shards=args.shards,
             max_batch=args.max_batch,
             seed=args.seed,
-            executor=args.executor,
         )
         serial = comparison["serial"]
         sharded = comparison["sharded"]
         print(
             f"broker throughput: serial {serial['mean_eps']:.0f} ev/s vs "
-            f"sharded[{sharded['shards']} {sharded['executor']} shards x "
+            f"sharded[{sharded['shards']} shards x "
             f"batch {sharded['max_batch']}] {sharded['mean_eps']:.0f} ev/s "
             f"({comparison['speedup']:.2f}x, deliveries identical)"
         )
@@ -732,11 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "throughput with this many subscription shards")
     p_eval.add_argument("--max-batch", type=int, default=32,
                         help="ingress micro-batch size for --shards")
-    p_eval.add_argument("--executor", choices=("thread", "process"),
-                        default="thread",
-                        help="shard backend for --shards: in-process "
-                             "threads or spawned worker processes over a "
-                             "zero-copy shared semantic space")
     p_eval.add_argument("--faults", default=None, metavar="PLAN.json",
                         help="run the fault-injection experiment with this "
                              "FaultPlan and verify the no-loss invariant "

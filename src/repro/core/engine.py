@@ -570,7 +570,7 @@ class ThematicEventEngine:
         the matcher's threshold — and each survivor comes back as
         ``(event index, registered callback, result)``, events in
         arrival order, each in registration order. :meth:`process_batch`
-        invokes the callbacks; the broker's shard executors read the
+        invokes the callbacks; the broker's shard engines read the
         registration off the callback slot instead and merge shards
         into one globally ordered delivery stream.
         """

@@ -125,8 +125,6 @@ def compare_broker_throughput(
     max_events: int | None = None,
     max_subscriptions: int | None = None,
     seed: int = 99,
-    executor: str = "thread",
-    vectorized: bool | None = None,
 ) -> dict:
     """Serial vs sharded broker throughput on one themed workload.
 
@@ -136,15 +134,7 @@ def compare_broker_throughput(
     per-subscriber streams of ``(sequence, event, score, alternatives)``
     — and records events/second. Raises ``AssertionError`` on any parity
     violation; speed without identical deliveries is not a result.
-
-    ``executor`` selects the sharded broker's backend (``"thread"`` or
-    ``"process"``). ``vectorized`` routes *both* sides' matchers through
-    the numpy kernel; it defaults to whatever the executor requires
-    (``"process"`` workers score through the kernel, so the serial
-    reference must too — parity demands one float path).
     """
-    if vectorized is None:
-        vectorized = executor == "process"
     if combination is None:
         combination = sample_combination(workload, seed=seed)
     events = [
@@ -155,7 +145,7 @@ def compare_broker_throughput(
         subscription.with_theme(combination.subscription_tags)
         for subscription in workload.subscriptions.approximate[:max_subscriptions]
     ]
-    matcher_factory = thematic_matcher_factory(workload, vectorized=vectorized)
+    matcher_factory = thematic_matcher_factory(workload)
     serial_runs: list[BrokerRunResult] = []
     sharded_runs: list[BrokerRunResult] = []
     for _ in range(max(1, repeats)):
@@ -170,10 +160,9 @@ def compare_broker_throughput(
             strategy=strategy,
             max_batch=max_batch,
             linger=linger,
-            executor=executor,
         )
         sharded = run_broker_workload(
-            f"sharded[{shards}x{max_batch}:{executor}]",
+            f"sharded[{shards}x{max_batch}]",
             lambda: ShardedBroker(matcher_factory(), sharded_config),
             subscriptions,
             events,
@@ -211,8 +200,6 @@ def compare_broker_throughput(
             "strategy": strategy,
             "max_batch": max_batch,
             "linger": linger,
-            "executor": executor,
-            "vectorized": vectorized,
             "eps_runs": sharded_eps,
             "mean_eps": _mean(sharded_eps),
             "batch_size": sharded_runs[-1].metrics["batch_size"],
@@ -261,20 +248,18 @@ def compare_kernel_scaling(
     max_subscriptions: int | None = None,
     seed: int = 99,
 ) -> dict:
-    """The kernel-scaling ladder: scalar serial -> kernel -> shard pools.
+    """The kernel-scaling ladder: scalar serial -> kernel -> shard pool.
 
-    Four configurations over one themed fig9-style workload, all timed
+    Three configurations over one themed fig9-style workload, all timed
     with :func:`run_broker_workload`:
 
     * ``serial_scalar`` — :class:`ThreadedBroker` with the scalar
       ``SparseVector`` measure: the reference fig9 serial number;
     * ``serial_kernel`` — the same serial broker scoring through the
       vectorized numpy kernel;
-    * ``thread_shards`` — sharded broker, thread executor, kernel;
-    * ``process_shards`` — sharded broker, spawned worker processes
-      attached zero-copy to the columnar space snapshot, kernel.
+    * ``thread_shards`` — sharded broker on its thread pool, kernel.
 
-    Parity is asserted, not reported: the three kernel configurations
+    Parity is asserted, not reported: the two kernel configurations
     must produce **bit-identical** delivery signatures, and the scalar
     reference must match them within the kernel's documented
     ``PARITY_TOLERANCE`` (same sequences, events and alternative counts;
@@ -297,17 +282,16 @@ def compare_kernel_scaling(
     scalar_factory = thematic_matcher_factory(workload, vectorized=False)
     kernel_factory = thematic_matcher_factory(workload, vectorized=True)
 
-    def sharded(executor: str) -> Callable[[], object]:
-        config = BrokerConfig(
-            shards=shards, max_batch=max_batch, linger=linger, executor=executor
-        )
-        return lambda: ShardedBroker(kernel_factory(), config)
-
+    sharded_config = BrokerConfig(
+        shards=shards, max_batch=max_batch, linger=linger
+    )
     configurations: list[tuple[str, Callable[[], object]]] = [
         ("serial_scalar", lambda: ThreadedBroker(scalar_factory())),
         ("serial_kernel", lambda: ThreadedBroker(kernel_factory())),
-        ("thread_shards", sharded("thread")),
-        ("process_shards", sharded("process")),
+        (
+            "thread_shards",
+            lambda: ShardedBroker(kernel_factory(), sharded_config),
+        ),
     ]
     eps: dict[str, list[float]] = {name: [] for name, _ in configurations}
     deliveries = 0
@@ -317,12 +301,11 @@ def compare_kernel_scaling(
             for name, make in configurations
         }
         reference = runs["serial_kernel"]
-        for name in ("thread_shards", "process_shards"):
-            assert runs[name].signature == reference.signature, (
-                f"kernel delivery parity violated: {name} delivered "
-                f"{runs[name].deliveries}, serial kernel delivered "
-                f"{reference.deliveries}"
-            )
+        assert runs["thread_shards"].signature == reference.signature, (
+            "kernel delivery parity violated: thread_shards delivered "
+            f"{runs['thread_shards'].deliveries}, serial kernel delivered "
+            f"{reference.deliveries}"
+        )
         assert _signatures_equivalent(
             runs["serial_scalar"].signature,
             reference.signature,

@@ -212,9 +212,8 @@ def thematic_matcher_factory(
 ) -> MatcherFactory:
     """Fresh thematic matcher over the workload's shared space.
 
-    ``vectorized=True`` scores through the numpy relatedness kernel
-    (required for ``executor="process"`` brokers; also the fast serial
-    path) — see :mod:`repro.semantics.kernel` for the float contract.
+    ``vectorized=True`` scores through the numpy relatedness kernel —
+    see :mod:`repro.semantics.kernel` for the float contract.
     The kernel path skips the :class:`CachedMeasure` memo: the staged
     pipeline's persistent side-score tables already deduplicate lookups
     per theme pair, and the kernel's own row caches cover the rest, so

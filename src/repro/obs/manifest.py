@@ -199,7 +199,7 @@ METRICS: tuple[MetricSpec, ...] = (
         "counter",
         "Triggered dumps dropped by the rate limiter.",
     ),
-    # -- vectorized kernel + process shards ---------------------------------
+    # -- vectorized kernel --------------------------------------------------
     MetricSpec(
         "kernel.batches",
         "counter",
@@ -209,26 +209,6 @@ METRICS: tuple[MetricSpec, ...] = (
         "kernel.pairs",
         "counter",
         "Term pairs scored by the vectorized relatedness kernel.",
-    ),
-    MetricSpec(
-        "shard.worker.batches",
-        "counter",
-        "Micro-batch match commands fanned out to shard worker processes.",
-    ),
-    MetricSpec(
-        "shard.worker.events",
-        "counter",
-        "Events shipped to the process-shard workers (once per batch).",
-    ),
-    MetricSpec(
-        "shard.worker.deliveries",
-        "counter",
-        "Threshold survivors returned by shard worker processes.",
-    ),
-    MetricSpec(
-        "shard.worker.batch_seconds",
-        "histogram",
-        "Wall time of one process-shard fan-out (send through merge).",
     ),
     # -- caches -------------------------------------------------------------
     MetricSpec(

@@ -14,7 +14,8 @@ arrays written as one versioned file whose payloads map back via
 read-only ``np.memmap`` — consumers share the page cache instead of
 materializing copies. Two snapshot kinds use it, each with its own
 magic and version: the columnar CSR arrays of a built space
-(:mod:`repro.semantics.columnar`, attached by process-shard workers)
+(:mod:`repro.semantics.columnar`, attached by ``repro warm-cache``
+workers)
 and the persistent precomputed-score store
 (:class:`~repro.semantics.cache.PersistentScoreStore`, produced by
 ``repro warm-cache``). Shared layout::
@@ -34,7 +35,7 @@ and the persistent precomputed-score store
 Array weights are bit-exact across the round trip (raw buffer copies,
 no re-serialization), so a kernel over a loaded snapshot scores
 identically to one over the in-memory build — the property the
-process-executor parity suite pins down, and likewise a loaded score
+persistence suite pins down, and likewise a loaded score
 store answers bit-identically to the in-memory table it was built from.
 """
 

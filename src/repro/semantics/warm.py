@@ -6,13 +6,13 @@ score it through the vectorized kernel, and freeze the result into a
 :class:`~repro.semantics.cache.PersistentScoreStore` snapshot the
 engine's ``score_store_path`` knob attaches at boot.
 
-Scoring shards over the same process-executor seam the sharded broker
-uses (:mod:`repro.broker.procshard`): the parent writes the space's
-columnar arrays once to a binary snapshot, each spawned worker attaches
-zero-copy via ``np.memmap`` and scores its slice of lookups through
-:class:`~repro.semantics.kernel.KernelMeasure` — the identical arrays
-and float path the in-process kernel takes, so a sharded warm produces
-bit-identical scores to ``workers=0``. Scores agree with the scalar
+Scoring shards over a spawn pool: the parent writes the space's
+columnar arrays once to a binary snapshot
+(:func:`~repro.semantics.persistence.save_columnar`), each spawned
+worker attaches zero-copy via ``np.memmap`` and scores its slice of
+lookups through :class:`~repro.semantics.kernel.KernelMeasure` — the
+identical arrays and float path the in-process kernel takes, so a
+sharded warm produces bit-identical scores to ``workers=0``. Scores agree with the scalar
 ``SparseVector`` path within the documented kernel tolerance (see
 :mod:`repro.semantics.kernel`), which is the parity the warmed-store
 test suite pins down.
@@ -95,7 +95,7 @@ def plan_lookups(
     return lookups
 
 
-# -- process-executor seam --------------------------------------------------
+# -- spawn-pool workers -----------------------------------------------------
 
 #: Per-worker kernel measure, built once by the pool initializer so the
 #: columnar attach and idf precompute are not repeated per chunk.

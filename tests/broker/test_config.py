@@ -1,17 +1,27 @@
 """The typed BrokerConfig: one config object for every front-end."""
 
+import threading
 import warnings
 
 import pytest
 
 from repro.broker.broker import ThematicBroker
 from repro.broker.config import BrokerConfig
+from repro.broker.core import BrokerCore
 from repro.broker.reliability import DeliveryPolicy
 from repro.broker.sharded import ShardedBroker
 from repro.broker.threaded import ThreadedBroker
 from repro.core.engine import ThematicEventEngine
+from repro.core.language import parse_event, parse_subscription
 from repro.core.matcher import ThematicMatcher
 from repro.semantics.measures import ThematicMeasure
+from tests.broker.test_sharded_parity import (
+    _matcher,
+    _serial_signature,
+    _signature,
+)
+
+FRONT_ENDS = (ThematicBroker, ThreadedBroker, ShardedBroker)
 
 
 @pytest.fixture()
@@ -72,6 +82,12 @@ class TestShardedValidation:
         with pytest.raises(ValueError, match="shards"):
             ShardedBroker(matcher, BrokerConfig(shards=0))
 
+    def test_zero_shards_rejected(self, matcher):
+        # The check lives in the shared core, so it holds for whatever
+        # shard count a front-end hands down, not only the config's.
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            BrokerCore(matcher, BrokerConfig(), shards=0)
+
     def test_invalid_max_batch_rejected(self, matcher):
         with pytest.raises(ValueError, match="max_batch"):
             ShardedBroker(matcher, BrokerConfig(max_batch=0))
@@ -79,3 +95,68 @@ class TestShardedValidation:
     def test_unknown_strategy_rejected(self, matcher):
         with pytest.raises(ValueError):
             ShardedBroker(matcher, BrokerConfig(strategy="modulo"))
+
+
+class TestExecutorValidation:
+    """``"thread"`` is the only shard executor; anything else is
+    rejected at construction, before any thread starts."""
+
+    @pytest.mark.parametrize("front_end", FRONT_ENDS)
+    @pytest.mark.parametrize("executor", ["process", "bogus"])
+    def test_unknown_executor_rejected(self, matcher, front_end, executor):
+        with pytest.raises(ValueError, match="expected 'thread'"):
+            front_end(matcher, BrokerConfig(executor=executor))
+
+
+SUBSCRIPTIONS = [
+    parse_subscription(
+        "({power, computers},"
+        " {type= increased energy usage event~, device~= laptop~,"
+        "  office= room 112})"
+    ),
+    parse_subscription("({transport}, {vehicle~= bus~, pollutant~= smog~})"),
+    parse_subscription("({energy}, {device~= computer~})"),
+]
+EVENTS = [
+    parse_event(
+        "({energy, appliances, building},"
+        " {type: increased energy consumption event, device: computer,"
+        "  office: room 112})"
+    ),
+    parse_event(
+        "({transport, environment}, {vehicle: vehicle, pollutant: pollution})"
+    ),
+    parse_event("({energy}, {device: computer, office: room 112})"),
+]
+
+
+def _shard_workers() -> set[threading.Thread]:
+    return {
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("shard-worker")
+    }
+
+
+class TestDefaultWorkers:
+    """``workers=None`` sizes the pool to ``min(shards, cpu_count)``."""
+
+    @pytest.mark.parametrize("cpus, pooled", [(1, False), (4, True)])
+    def test_pool_follows_cpu_count(self, space, monkeypatch, cpus, pooled):
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        event_index = {id(event): j for j, event in enumerate(EVENTS)}
+        serial = _serial_signature(
+            space, SUBSCRIPTIONS, EVENTS, 1, 0.5, event_index
+        )
+        before = _shard_workers()
+        with ShardedBroker(
+            _matcher(space, 1, 0.5),
+            BrokerConfig(shards=4, workers=None, linger=0.0),
+        ) as broker:
+            handles = [broker.subscribe(s) for s in SUBSCRIPTIONS]
+            for event in EVENTS:
+                broker.publish(event)
+            assert broker.flush(timeout=60), "broker did not drain"
+            assert sum(1 for load in broker.shard_sizes() if load) >= 2
+            assert bool(_shard_workers() - before) is pooled
+        assert _signature(handles, event_index) == serial

@@ -310,15 +310,3 @@ class TestConfigValidation:
                 Opaque(),
                 EngineConfig(score_store_path=str(tmp_path / "s.bin")),
             )
-
-    def test_process_executor_rejects_sublinear_knobs(self, space):
-        from repro.broker.config import BrokerConfig
-        from repro.broker.sharded import ShardedBroker
-
-        matcher = ThematicMatcher(ThematicMeasure(space, vectorized=True))
-        for knob in (
-            {"prefilter_mode": "semantic"},
-            {"score_store_path": "scores.bin"},
-        ):
-            with pytest.raises(ValueError, match="executor='process'"):
-                ShardedBroker(matcher, BrokerConfig(executor="process", **knob))

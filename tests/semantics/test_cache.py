@@ -65,35 +65,35 @@ class TestRelatednessCache:
 
 
 class TestBoundedCache:
-    def _key(self, cache, i):
+    def _key(self, i):
         return cache_key(f"t{i}", (), "z1", ())
 
     def test_max_entries_evicts_oldest(self):
         cache = RelatednessCache(max_entries=2)
-        cache.put(self._key(cache, 0), 0.0)
-        cache.put(self._key(cache, 1), 0.1)
-        cache.put(self._key(cache, 2), 0.2)
+        cache.put(self._key(0), 0.0)
+        cache.put(self._key(1), 0.1)
+        cache.put(self._key(2), 0.2)
         assert len(cache) == 2
-        assert cache.get(self._key(cache, 0)) is None
-        assert cache.get(self._key(cache, 2)) == 0.2
+        assert cache.get(self._key(0)) is None
+        assert cache.get(self._key(2)) == 0.2
 
     def test_get_refreshes_recency(self):
         cache = RelatednessCache(max_entries=2)
-        cache.put(self._key(cache, 0), 0.0)
-        cache.put(self._key(cache, 1), 0.1)
-        cache.get(self._key(cache, 0))  # now most-recent
-        cache.put(self._key(cache, 2), 0.2)
-        assert cache.get(self._key(cache, 0)) == 0.0
-        assert cache.get(self._key(cache, 1)) is None
+        cache.put(self._key(0), 0.0)
+        cache.put(self._key(1), 0.1)
+        cache.get(self._key(0))  # now most-recent
+        cache.put(self._key(2), 0.2)
+        assert cache.get(self._key(0)) == 0.0
+        assert cache.get(self._key(1)) is None
 
     def test_put_existing_key_does_not_evict(self):
         cache = RelatednessCache(max_entries=2)
-        cache.put(self._key(cache, 0), 0.0)
-        cache.put(self._key(cache, 1), 0.1)
-        cache.put(self._key(cache, 0), 0.5)  # update in place
+        cache.put(self._key(0), 0.0)
+        cache.put(self._key(1), 0.1)
+        cache.put(self._key(0), 0.5)  # update in place
         assert len(cache) == 2
-        assert cache.get(self._key(cache, 0)) == 0.5
-        assert cache.get(self._key(cache, 1)) == 0.1
+        assert cache.get(self._key(0)) == 0.5
+        assert cache.get(self._key(1)) == 0.1
 
     def test_invalid_bound_rejected(self):
         import pytest

@@ -2,7 +2,7 @@
 
 The kernel (:mod:`repro.semantics.kernel`) reimplements projection and
 distance over columnar numpy arrays; everything downstream — the
-pipeline's bulk scoring stage, the process-shard workers — trusts two
+pipeline's bulk scoring stage, the warm-cache workers — trusts two
 properties pinned here:
 
 * **scalar parity**: for every (term, theme, term, theme) lookup, in

@@ -78,7 +78,7 @@ class TestValidation:
 
 
 class TestColumnarSnapshot:
-    """Binary zero-copy layout for the process-shard workers."""
+    """Binary zero-copy layout for the warm-cache spawn workers."""
 
     @staticmethod
     def _write(tmp_path):
