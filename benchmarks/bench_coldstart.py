@@ -7,7 +7,8 @@ such as cold start and real-time behavior". This bench measures:
   corpus, build the matcher, match the first event; and the cheaper warm
   restart from a corpus snapshot;
 * **real-time behavior** — per-event matching latency percentiles with
-  warm caches, plus the two-phase prefilter's effect on them.
+  warm caches, plus the effect of the engine's two-phase path (the
+  semantic-anchor candidate stage, then full matching) on them.
 
 No paper numbers exist; assertions pin the expected orderings (warm
 lookups beat cold ones; the prefilter prunes work; tail latency is
@@ -19,8 +20,8 @@ import time
 
 import pytest
 
+from repro.core.engine import EngineConfig, ThematicEventEngine
 from repro.core.matcher import ThematicMatcher
-from repro.core.prefilter import TwoPhaseMatcher
 from repro.evaluation import format_table
 from repro.obs import LatencySummary
 from repro.semantics import (
@@ -62,16 +63,20 @@ def test_cold_start_and_latency(benchmark, workload, bench_artifact):
             warm_matcher.score(sub, event)
         latencies.append(time.perf_counter() - t0)
 
-    # -- two-phase matcher on the same stream --------------------------------
-    two_phase = TwoPhaseMatcher(warm_matcher, workload.space)
+    # -- semantic-anchor engine on the same stream ---------------------------
+    two_phase = ThematicEventEngine(
+        warm_matcher, EngineConfig(prefilter_mode="semantic")
+    )
     for sub in subs:
-        two_phase.add(sub)
-    two_phase.match_event(events[0])  # build neighborhoods
+        two_phase.subscribe(sub, lambda result: None)
+    two_phase.process(events[0])  # build neighborhoods
     tp_latencies = []
     for event in events:
         t0 = time.perf_counter()
-        two_phase.match_event(event)
+        two_phase.process(event)
         tp_latencies.append(time.perf_counter() - t0)
+    stats = two_phase.stats
+    prune_rate = stats.pruned / stats.evaluations
 
     benchmark.pedantic(
         lambda: [warm_matcher.score(subs[0], e) for e in events[:50]],
@@ -100,9 +105,9 @@ def test_cold_start_and_latency(benchmark, workload, bench_artifact):
     )
     print()
     print(
-        f"prefilter stats: prune rate {two_phase.stats.prune_rate():.0%}, "
-        f"{two_phase.stats.full_matches_run} full matches for "
-        f"{two_phase.stats.pairs_considered} pairs"
+        f"prefilter stats: prune rate {prune_rate:.0%}, "
+        f"{stats.evaluations - stats.pruned} full matches for "
+        f"{stats.evaluations} pairs"
     )
 
     warm_cache = warm_matcher.measure.cache
@@ -117,14 +122,14 @@ def test_cold_start_and_latency(benchmark, workload, bench_artifact):
                 tp_latencies
             ).as_dict(unit="ms"),
             "cache_hit_rate": warm_cache.hit_rate,
-            "prefilter_prune_rate": two_phase.stats.prune_rate(),
+            "prefilter_prune_rate": prune_rate,
         },
     )
 
     # Orderings.
     assert cold_seconds < 120, "cold start must stay interactive-scale"
     assert percentile(latencies, 0.99) < 1.0, "tail latency must stay sub-second"
-    assert two_phase.stats.pruned_total() > 0, "the prefilter must prune work"
+    assert stats.pruned > 0, "the prefilter must prune work"
     assert statistics.fmean(tp_latencies) <= statistics.fmean(latencies) * 1.25, (
         "prefiltering must not make the common case materially slower"
     )

@@ -1,23 +1,24 @@
-"""Wire protocol + threaded broker + two-phase prefilter, end to end.
+"""Wire protocol + threaded broker + semantic-anchor prefilter, end to end.
 
 A producer process would serialize events to JSON; the broker side
 deserializes, prefilters candidates, and matches asynchronously. This
 example runs the whole path in-process: JSON in, deliveries out, with
-the prefilter statistics showing how much semantic work was avoided.
+the engine's prune counters showing how much semantic work was avoided.
 
 Run:  python examples/wire_protocol.py
 """
 
 from repro import (
+    EngineConfig,
     ParametricVectorSpace,
+    ThematicEventEngine,
     ThematicMatcher,
     ThematicMeasure,
     default_corpus,
     parse_subscription,
 )
 from repro.broker import ThreadedBroker
-from repro.core import TwoPhaseMatcher, dumps, loads
-from repro.core.codec import event_to_dict
+from repro.core import dumps, loads
 from repro.datasets import SeedConfig, generate_seed_events
 from repro.semantics import CachedMeasure
 
@@ -52,40 +53,43 @@ def main() -> None:
     print()
 
     # --- broker side: prefilter + async matching ----------------------------
-    two_phase = TwoPhaseMatcher(matcher, space)
-    sub_ids = {two_phase.add(sub): i for i, sub in enumerate(subscriptions)}
+    engine = ThematicEventEngine(matcher, EngineConfig(prefilter_mode="semantic"))
     deliveries: list[tuple[int, float, str]] = []
+    for i, sub in enumerate(subscriptions):
+        engine.subscribe(
+            sub,
+            lambda result, i=i: deliveries.append(
+                (i, result.score, str(result.event.value("type")))
+            ),
+        )
 
     with ThreadedBroker(matcher) as broker:
         # The threaded broker demonstrates sync decoupling for the same
-        # stream; the prefilter path shows the phase-1 savings.
+        # stream; the semantic-anchor engine shows the candidate savings.
         inboxes = [broker.subscribe(sub) for sub in subscriptions]
         for message in wire_messages:
             event = loads(message)
-            broker.publish(event)                     # async path
-            for sub_id, result in two_phase.match_event(event):  # indexed path
-                deliveries.append(
-                    (sub_ids[sub_id], result.score,
-                     str(result.event.value("type")))
-                )
+            broker.publish(event)   # async path, loss-free candidates
+            engine.process(event)   # semantic anchors prune first
         broker.flush(timeout=120)
         async_counts = [len(inbox.drain()) for inbox in inboxes]
 
-    print("deliveries per subscription (indexed two-phase vs full scan):")
+    print("deliveries per subscription (semantic anchors vs loss-free):")
     for i, sub in enumerate(subscriptions):
         mine = [d for d in deliveries if d[0] == i]
         note = "" if len(mine) == async_counts[i] else (
-            "  <- the lossy semantic prefilter dropped a borderline match"
-            " (the documented speed/recall trade; tune prefilter_threshold)"
+            "  <- the lossy semantic anchors dropped a borderline match"
+            " (the documented speed/recall trade; prefilter_mode='exact'"
+            " is loss-free)"
         )
-        print(f"  sub {i}: indexed={len(mine)}  full scan={async_counts[i]}{note}")
+        print(f"  sub {i}: anchored={len(mine)}  loss-free={async_counts[i]}{note}")
         for _, score, type_value in mine[:2]:
             print(f"     score={score:.3f} type={type_value!r}")
-    stats = two_phase.stats
+    stats = engine.stats
     print()
-    print(f"prefilter: {stats.pairs_considered} pairs considered, "
-          f"{stats.pruned_total()} pruned ({stats.prune_rate():.0%}), "
-          f"{stats.full_matches_run} full matches run")
+    print(f"prefilter: {stats.evaluations} pairs considered, "
+          f"{stats.pruned} pruned ({stats.pruned / stats.evaluations:.0%}), "
+          f"{stats.evaluations - stats.pruned} full matches run")
 
 
 if __name__ == "__main__":

@@ -36,9 +36,11 @@ on them and merges their survivors.
 Three properties the tests pin down, for every front-end:
 
 * **Parity.** Deliveries — the set, the per-subscriber order, the
-  sequence stamps, and every score — are bit-identical, and equal to
-  the per-pair reference oracle
-  (:func:`~repro.core.api.pairwise_match_batch`).
+  sequence stamps, and every score — are bit-identical across
+  front-ends in every ``prefilter_mode``, however events are batched.
+  In ``"exact"`` mode they equal the per-pair reference oracle
+  (:func:`~repro.core.api.pairwise_match_batch`); the lossy
+  ``"semantic"`` / ``"ann"`` anchor modes deliver a subset of it.
 * **No lock across user code.** Matching and sequencing happen under
   the registration lock; subscriber callbacks run after it is released,
   so a callback may subscribe, unsubscribe or publish.

@@ -33,7 +33,6 @@ from repro.core.mapping import (
 )
 from repro.core.matcher import MatchResult, ThematicMatcher
 from repro.core.pipeline import BatchStats, StagedBatchPipeline
-from repro.core.prefilter import PrefilterStats, TokenNeighborhoods, TwoPhaseMatcher
 from repro.core.similarity import (
     Calibration,
     SimilarityMatrix,
@@ -60,11 +59,8 @@ __all__ = [
     "MatchResult",
     "ParseError",
     "Predicate",
-    "PrefilterStats",
     "SimilarityMatrix",
     "StagedBatchPipeline",
-    "TokenNeighborhoods",
-    "TwoPhaseMatcher",
     "Subscription",
     "SubscriptionHandle",
     "ThematicEventEngine",

@@ -54,13 +54,14 @@ class BatchMatchResult:
 
     ``scores[i][j]`` is the match strength of ``subscriptions[i]``
     against ``events[j]`` — always populated, and exactly equal to what
-    the per-pair ``score`` path returns for that pair.
+    the per-pair ``score`` path returns for that pair (except pairs a
+    pipeline's opt-in, lossy semantic anchors pruned, which read 0.0).
 
     ``results[i][j]`` carries the full :class:`MatchResult` when the
     batch ran in full-result mode, and is ``None`` where the engine has
     no result object for the pair: scores-only batches, pairs with no
-    possible mapping, pairs a loss-free prefilter proved unmatchable
-    (their score is exactly 0.0), and non-matches of boolean engines.
+    possible mapping, pairs the candidate filter pruned, and non-matches
+    of boolean engines.
     """
 
     subscriptions: tuple[Subscription, ...]

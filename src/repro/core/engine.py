@@ -8,13 +8,22 @@ broker (:mod:`repro.broker`) embeds one engine per broker node.
 
 Dispatch runs through the engine's ``match_batch`` (one event against
 the whole registration snapshot per call), which stages the work —
-loss-free prefiltering, cross-subscription term-pair dedup, bulk
-semantic scoring, assignment — instead of matching pair by pair. The
-exact-anchor prefilter prunes pairs whose score is provably 0.0 before
+candidate filtering, cross-subscription term-pair dedup, bulk semantic
+scoring, assignment — instead of matching pair by pair. The candidate
+stage's exact anchors prune pairs whose score is provably 0.0 before
 any semantic scoring happens; since delivery only wants results at or
 above the matcher's threshold, pruning is loss-free for any positive
 threshold (and is disabled automatically at threshold 0.0, where
 zero-score results are deliverable).
+
+The ``"semantic"`` and ``"ann"`` anchor modes (:data:`PREFILTER_MODES`)
+hand the engine's private pipeline an
+:class:`~repro.semantics.index.ApproxNeighborIndex` — exact scan at
+``recall_target=1.0`` for ``"semantic"``, LSH at ``ann_recall_target``
+for ``"ann"`` — which adds the pipeline's lossy semantic anchors (and
+keeps the exact anchors on at any threshold). Every anchor decision is
+per (subscription, event) pair, so a micro-batch delivers exactly what
+its events deliver one at a time.
 
 Configuration is an :class:`EngineConfig`; when a
 :class:`~repro.core.degrade.DegradedPolicy` is set, every full batch is
@@ -35,10 +44,10 @@ from typing import TYPE_CHECKING, Any
 from repro.core.degrade import DegradedMode, DegradedPolicy
 from repro.core.events import Event
 from repro.core.matcher import MatchResult, ThematicMatcher
-from repro.core.prefilter import PREFILTER_MODES, AnchorIndex, build_neighborhoods
 from repro.core.subscriptions import Subscription
 from repro.obs import MetricsRegistry
 from repro.obs.clock import MONOTONIC_CLOCK, Clock
+from repro.semantics.index import ApproxNeighborIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.broker.reliability import DeliveryPolicy
@@ -53,6 +62,9 @@ __all__ = [
 
 #: Callback invoked on every delivered match.
 MatchCallback = Callable[[MatchResult], None]
+
+#: Supported candidate-filter anchor modes (see module docstring).
+PREFILTER_MODES = ("exact", "semantic", "ann")
 
 
 def stable_subscriber_key(sub_id: int, subscription: Subscription | None) -> str:
@@ -136,10 +148,6 @@ class EngineConfig:
 
     Parameters
     ----------
-    prefilter:
-        Whether dispatch may use loss-free zero-score pruning (arity +
-        exact anchors). Only applies while the matcher's threshold is
-        positive; disable to force full scoring of every pair.
     private_pipeline:
         Give this engine its own staged pipeline (when the matcher
         supports one) instead of the matcher's shared lazy instance.
@@ -153,15 +161,15 @@ class EngineConfig:
         slow or unhealthy semantic scoring flips dispatch to the
         exact-anchor fallback instead of failing closed.
     prefilter_mode:
-        Semantic-anchor candidate phase in front of the batch pipeline
-        (:data:`~repro.core.prefilter.PREFILTER_MODES`). ``"exact"``
-        (default) keeps only the loss-free structural prefilter;
-        ``"semantic"`` adds exact-scan token-neighborhood anchors for
-        fully-approximated predicates (lossy — see
-        :mod:`repro.core.prefilter`); ``"ann"`` generates the same
+        Candidate-stage anchor mode (:data:`PREFILTER_MODES`).
+        ``"exact"`` (default) keeps only the loss-free structural
+        checks; ``"semantic"`` adds exact-scan token-neighborhood
+        anchors for fully-approximated predicates (lossy — see
+        :mod:`repro.core.pipeline`); ``"ann"`` generates the same
         anchors through the LSH index at ``ann_recall_target``. Both
-        non-exact modes need a matcher whose measure exposes a semantic
-        space.
+        non-exact modes need a ThematicMatcher-family engine whose
+        measure exposes a semantic space, and match through a private
+        pipeline.
     ann_recall_target:
         Recall knob for ``prefilter_mode="ann"``; ``1.0`` (default)
         falls back to the exact scan, bit-identical to ``"semantic"``.
@@ -180,7 +188,6 @@ class EngineConfig:
         paging it in lazily (requires ``score_store_path``).
     """
 
-    prefilter: bool = True
     private_pipeline: bool = False
     span_tags: dict | None = None
     degraded: DegradedPolicy | None = None
@@ -235,7 +242,7 @@ class EngineStats:
 
     @property
     def pruned(self) -> int:
-        """Pairs the loss-free prefilter skipped before semantic scoring."""
+        """Pairs the candidate stage skipped before semantic scoring."""
         return self._counters["pruned"].value
 
 
@@ -279,37 +286,24 @@ class ThematicEventEngine:
         if self.config.score_store_path is not None:
             matcher = self._attach_store(matcher)
         self.matcher = matcher
-        self._anchors: AnchorIndex | None = None
-        self._entry_snapshot: list | None = None
+        neighborhoods = None
         if self.config.prefilter_mode != "exact":
-            space = self._find_space(matcher.measure)
-            if space is None:
-                raise ValueError(
-                    f"prefilter_mode {self.config.prefilter_mode!r} needs a "
-                    "matcher whose measure exposes a semantic space"
-                )
-            self._anchors = AnchorIndex(
-                build_neighborhoods(
-                    space,
-                    mode=self.config.prefilter_mode,
-                    recall_target=self.config.ann_recall_target,
-                    registry=self.stats.registry,
-                )
-            )
-        self.prefilter = self.config.prefilter
+            neighborhoods = self._neighbor_index(matcher)
         self.clock = clock if clock is not None else MONOTONIC_CLOCK
         self._pipeline = None
-        if self.config.private_pipeline:
+        if self.config.private_pipeline or neighborhoods is not None:
             factory = getattr(matcher, "new_pipeline", None)
             if factory is not None:
-                self._pipeline = factory(span_tags=self.config.span_tags)
+                self._pipeline = factory(
+                    span_tags=self.config.span_tags, neighborhoods=neighborhoods
+                )
         self.degraded: DegradedMode | None = None
         self._fallback_matcher = None
         self._fallback_pipeline = None
         if self.config.degraded is not None:
             self._fallback_matcher = self._build_fallback(matcher)
             self._fallback_pipeline = self._fallback_matcher.new_pipeline(
-                span_tags={"degraded": True}
+                span_tags={"degraded": True}, neighborhoods=neighborhoods
             )
             self.degraded = DegradedMode(
                 self.config.degraded,
@@ -365,6 +359,34 @@ class ThematicEventEngine:
             measure = getattr(measure, "inner", None)
         return None
 
+    def _neighbor_index(self, matcher: ThematicMatcher) -> ApproxNeighborIndex:
+        """The semantic-anchor provider for a non-``"exact"`` mode.
+
+        ``"semantic"`` is the exact full-vocabulary scan
+        (``recall_target=1.0``); ``"ann"`` probes the LSH bands at
+        ``ann_recall_target``. The anchors run in the candidate stage of
+        this engine's private pipeline, so the matcher must build one.
+        """
+        mode = self.config.prefilter_mode
+        if not all(hasattr(matcher, name) for name in ("measure", "new_pipeline")):
+            raise ValueError(
+                f"prefilter_mode {mode!r} needs a ThematicMatcher-family "
+                f"engine (got {type(matcher).__name__})"
+            )
+        space = self._find_space(matcher.measure)
+        if space is None:
+            raise ValueError(
+                f"prefilter_mode {mode!r} needs a matcher whose measure "
+                "exposes a semantic space"
+            )
+        return ApproxNeighborIndex(
+            space,
+            recall_target=(
+                self.config.ann_recall_target if mode == "ann" else 1.0
+            ),
+            registry=self.stats.registry,
+        )
+
     def _attach_store(self, matcher: ThematicMatcher) -> ThematicMatcher:
         """Put the persistent score store in front of the matcher's measure.
 
@@ -418,8 +440,6 @@ class ThematicEventEngine:
             self._next_id, subscription, callback=callback
         )
         self._subscriptions[self._next_id] = (subscription, callback)
-        if self._anchors is not None:
-            self._anchors.add(self._next_id, subscription)
         self._next_id += 1
         self._snapshot = None
         return handle
@@ -428,8 +448,6 @@ class ThematicEventEngine:
         """Remove a registration; True if it was present."""
         removed = self._subscriptions.pop(handle.id, None) is not None
         if removed:
-            if self._anchors is not None:
-                self._anchors.remove(handle.id)
             self._snapshot = None
         return removed
 
@@ -443,38 +461,7 @@ class ThematicEventEngine:
     def _registrations(self) -> list[tuple[Subscription, MatchCallback]]:
         if self._snapshot is None:
             self._snapshot = list(self._subscriptions.values())
-            if self._anchors is not None:
-                # Anchor entries aligned with the snapshot (same dict,
-                # same iteration order).
-                self._entry_snapshot = [
-                    self._anchors.entry(key) for key in self._subscriptions
-                ]
         return self._snapshot
-
-    def _anchor_survivors(
-        self,
-        registrations: list[tuple[Subscription, MatchCallback]],
-        events: list[Event],
-    ) -> list[tuple[Subscription, MatchCallback]]:
-        """Registrations any event in the batch keeps after the anchor phase.
-
-        Per-event anchor decisions are OR-ed across the batch so the
-        grid stays rectangular: a registration survives when at least
-        one event keeps it, which makes the batch path never lossier
-        than the equivalent sequence of single-event calls. Pairs
-        skipped (dropped registrations x batch size) are charged to the
-        ``pruned`` counter — they never reach semantic scoring.
-        """
-        assert self._anchors is not None and self._entry_snapshot is not None
-        union = [False] * len(registrations)
-        for event in events:
-            flags = self._anchors.survivor_flags(self._entry_snapshot, event)
-            union = [kept or flag for kept, flag in zip(union, flags)]
-        survivors = [reg for reg, kept in zip(registrations, union) if kept]
-        self.stats.inc(
-            "pruned", (len(registrations) - len(survivors)) * len(events)
-        )
-        return survivors
 
     def match_one(self, subscription: Subscription, event: Event) -> MatchResult | None:
         """Per-pair match through this engine (replay, ad-hoc queries).
@@ -577,17 +564,13 @@ class ThematicEventEngine:
         registrations = self._registrations()
         self.stats.inc("events_processed", len(events))
         self.stats.inc("evaluations", len(registrations) * len(events))
-        if not events:
-            return
-        if registrations and self._anchors is not None:
-            registrations = self._anchor_survivors(registrations, events)
-        if not registrations:
+        if not events or not registrations:
             return
         threshold = self.matcher.threshold
         batch = self._run_batch(
             [subscription for subscription, _ in registrations],
             events,
-            prune_zero=self.prefilter and threshold > 0,
+            prune_zero=threshold > 0,
         )
         if batch.stats is not None:
             self.stats.inc("pruned", batch.stats.pruned)
@@ -604,8 +587,8 @@ class ThematicEventEngine:
         Callbacks fire per event in arrival order, each in registration
         order; the delivered results (also handed to the callbacks) come
         back grouped the same way. ``evaluations`` counts the pairs
-        considered (pre-prefilter) and ``pruned`` how many of those the
-        loss-free prefilter settled without semantic scoring.
+        considered (before candidate filtering) and ``pruned`` how many
+        of those the candidate stage settled without semantic scoring.
         """
         events = list(events)
         delivered: list[list[MatchResult]] = [[] for _ in events]

@@ -160,20 +160,23 @@ class ThematicMatcher:
         result = self.match(subscription, event)
         return result is not None and result.is_match(self.threshold)
 
-    def new_pipeline(self, *, span_tags: dict | None = None):
+    def new_pipeline(self, *, span_tags: dict | None = None, neighborhoods=None):
         """A fresh :class:`~repro.core.pipeline.StagedBatchPipeline`.
 
         The default :meth:`match_batch` pipeline is shared state (its
         compiled-subscription and side-score tables mutate per batch),
         so concurrent callers — one engine per broker shard — each take
         a private pipeline instead. ``span_tags`` label every span the
-        pipeline emits (e.g. with a shard id).
+        pipeline emits (e.g. with a shard id); ``neighborhoods`` turns
+        on the candidate stage's semantic anchors.
         """
         # Imported here: pipeline.py imports MatchResult from this
         # module, so a top-level import would be circular.
         from repro.core.pipeline import StagedBatchPipeline
 
-        return StagedBatchPipeline(self, span_tags=span_tags)
+        return StagedBatchPipeline(
+            self, span_tags=span_tags, neighborhoods=neighborhoods
+        )
 
     def match_batch(
         self,

@@ -8,12 +8,19 @@ keyed and looked up 50 times. This module replaces that loop with the
 explicit staged pipeline the paper's Section 7 efficiency discussion
 points at (and SIENA-style brokers implement for the exact fragment):
 
-1. **Candidates** — cheap loss-free prefiltering: *arity* (an event with
-   fewer tuples than the subscription has predicates carries no
-   mapping) always applies; *exact anchors* (a non-approximated ``=``
-   predicate requires its literal (attribute, value) tuple) apply when
-   the caller only needs scores or threshold survivors, because a
-   missing anchor proves the pair's score is exactly 0.0.
+1. **Candidates** — the one candidate filter, decided per (subscription,
+   event) pair: *arity* (an event with fewer tuples than the
+   subscription has predicates carries no mapping) always applies;
+   *exact anchors* (a non-approximated ``=`` predicate requires its
+   literal (attribute, value) tuple) apply when the caller only needs
+   scores or threshold survivors, because a missing anchor proves the
+   pair's score is exactly 0.0. A pipeline built with a
+   ``neighborhoods`` provider (the engine's ``"semantic"`` / ``"ann"``
+   anchor modes) always applies the exact anchors and adds *semantic
+   anchors*: a predicate approximated on both sides with a string value
+   needs at least one event token inside its value's full-space
+   neighborhood. That check is **lossy** — thematic projection can raise
+   relatedness above its full-space value — which is why it is opt-in.
 2. **Fill** — walk every candidate's (predicate x tuple) cells once,
    building its similarity matrix from the side-score tables that
    persist between batches. A lookup the table lacks is not computed on
@@ -47,7 +54,9 @@ the *same* measure instance (so memoized measures keep their exact
 semantics; deferring a lookup changes when the measure is asked, never
 what it answers), and assignment scoring reuses the per-pair solver.
 The hypothesis parity suite in ``tests/core/test_pipeline.py`` asserts
-exact equality against the reference per-pair loop.
+exact equality against the reference per-pair loop. Candidate decisions
+are per pair too, so a batch keeps exactly the pairs its events keep one
+at a time — semantic anchors included.
 """
 
 from __future__ import annotations
@@ -71,10 +80,11 @@ from repro.core.similarity import SimilarityMatrix
 from repro.core.subscriptions import Predicate, Subscription
 from repro.obs import TRACER
 from repro.semantics.pvsm import theme_key
-from repro.semantics.tokenize import normalize_term
+from repro.semantics.tokenize import normalize_term, tokenize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.matcher import ThematicMatcher
+    from repro.semantics.index import ApproxNeighborIndex
 
 __all__ = ["BatchStats", "StagedBatchPipeline"]
 
@@ -94,12 +104,13 @@ class BatchStats:
     candidates: int = 0
     pruned_arity: int = 0
     pruned_anchor: int = 0
+    pruned_semantic: int = 0
     term_pairs: int = 0
     unique_term_pairs: int = 0
 
     @property
     def pruned(self) -> int:
-        return self.pruned_arity + self.pruned_anchor
+        return self.pruned_arity + self.pruned_anchor + self.pruned_semantic
 
     @property
     def dedup_ratio(self) -> float:
@@ -146,9 +157,13 @@ class _CompiledPredicate:
 
 class _CompiledSubscription:
     __slots__ = ("subscription", "predicates", "arity", "exact_anchors",
-                 "theme", "tkey")
+                 "semantic_anchors", "theme", "tkey")
 
-    def __init__(self, subscription: Subscription):
+    def __init__(
+        self,
+        subscription: Subscription,
+        neighborhoods: "ApproxNeighborIndex | None" = None,
+    ):
         self.subscription = subscription
         self.predicates = tuple(
             _CompiledPredicate(p) for p in subscription.predicates
@@ -156,6 +171,11 @@ class _CompiledSubscription:
         self.arity = len(self.predicates)
         self.exact_anchors = tuple(
             p.exact_key for p in self.predicates if p.exact_key is not None
+        )
+        self.semantic_anchors = () if neighborhoods is None else tuple(
+            neighborhoods.neighbors(p.value)
+            for p in self.predicates
+            if p.value_is_str and p.approx_attribute and p.approx_value
         )
         self.theme = subscription.theme
         self.tkey = theme_key(subscription.theme)
@@ -173,9 +193,10 @@ class _CompiledTuple:
 
 
 class _CompiledEvent:
-    __slots__ = ("event", "tuples", "size", "exact_keys", "theme", "tkey")
+    __slots__ = ("event", "tuples", "size", "exact_keys", "tokens", "theme",
+                 "tkey")
 
-    def __init__(self, event: Event):
+    def __init__(self, event: Event, with_tokens: bool = False):
         self.event = event
         self.tuples = tuple(
             _CompiledTuple(av.attribute, av.value) for av in event.payload
@@ -185,6 +206,13 @@ class _CompiledEvent:
             (t.attr_norm, t.value_norm if t.value_is_str else t.value)
             for t in self.tuples
         )
+        tokens: set[str] = set()
+        if with_tokens:
+            for t in self.tuples:
+                if t.value_is_str:
+                    tokens.update(tokenize(t.value))
+                tokens.update(tokenize(t.attribute))
+        self.tokens = frozenset(tokens)
         self.theme = event.theme
         self.tkey = theme_key(event.theme)
 
@@ -253,6 +281,10 @@ class StagedBatchPipeline:
     distinct subscription / term pair. The score tables are bounded by
     the vocabulary seen; compiled subscriptions are dropped once they
     stop arriving (see :meth:`_stage_candidates`).
+
+    ``neighborhoods`` (an :class:`~repro.semantics.index.ApproxNeighborIndex`)
+    turns on the semantic anchors of the candidate stage; ``None`` keeps
+    the candidate stage loss-free.
     """
 
     def __init__(
@@ -260,8 +292,10 @@ class StagedBatchPipeline:
         matcher: "ThematicMatcher",
         *,
         span_tags: dict | None = None,
+        neighborhoods: "ApproxNeighborIndex | None" = None,
     ):
         self.matcher = matcher
+        self.neighborhoods = neighborhoods
         # Attributes stamped onto every span this pipeline emits — the
         # sharded broker labels each shard's private pipeline here.
         self._span_tags = dict(span_tags) if span_tags else {}
@@ -279,7 +313,7 @@ class StagedBatchPipeline:
     def _compile_subscription(self, subscription: Subscription) -> _CompiledSubscription:
         compiled = self._compiled_subs.get(id(subscription))
         if compiled is None or compiled.subscription is not subscription:
-            compiled = _CompiledSubscription(subscription)
+            compiled = _CompiledSubscription(subscription, self.neighborhoods)
             self._compiled_subs[id(subscription)] = compiled
         return compiled
 
@@ -311,7 +345,8 @@ class StagedBatchPipeline:
         mode; full-result callers that must mirror per-pair ``match``
         output exactly (which returns zero-score results, not ``None``)
         leave it off unless, like the engine, they only consume
-        above-threshold results.
+        above-threshold results. A pipeline with ``neighborhoods``
+        applies the exact and semantic anchors regardless.
 
         ``deliver_threshold`` selects the delivery-gated mode used by the
         micro-batching broker path: every candidate gets its (bit-
@@ -389,18 +424,27 @@ class StagedBatchPipeline:
                 self._compiled_subs = {
                     id(c.subscription): c for c in compiled_subs
                 }
-            compiled_events = [_CompiledEvent(e) for e in events]
+            anchored = self.neighborhoods is not None
+            prune_zero = prune_zero or anchored
+            compiled_events = [_CompiledEvent(e, anchored) for e in events]
             candidates = []
             for i, sub in enumerate(compiled_subs):
                 for j, event in enumerate(compiled_events):
                     if event.size < sub.arity:
                         stats.pruned_arity += 1
                         continue
-                    if prune_zero and any(
-                        anchor not in event.exact_keys
-                        for anchor in sub.exact_anchors
+                    if (
+                        prune_zero
+                        and sub.exact_anchors
+                        and not event.exact_keys.issuperset(sub.exact_anchors)
                     ):
                         stats.pruned_anchor += 1
+                        continue
+                    if sub.semantic_anchors and any(
+                        neighborhood.isdisjoint(event.tokens)
+                        for neighborhood in sub.semantic_anchors
+                    ):
+                        stats.pruned_semantic += 1
                         continue
                     candidates.append((i, j, sub, event))
             stats.candidates = len(candidates)

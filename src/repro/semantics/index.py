@@ -14,9 +14,8 @@ scans a handful of candidates instead of the whole vocabulary. Survivors
 are always re-checked against the exact relatedness test, so *precision*
 is exact by construction; *recall* is tuned through ``recall_target``,
 and at ``recall_target=1.0`` the index bypasses the signatures entirely
-and runs the same exact vocabulary scan as
-:class:`~repro.core.prefilter.TokenNeighborhoods` — bit-identical
-neighborhoods, which the hypothesis suite pins down.
+and runs the exact full-vocabulary scan — the reference every lower
+target is tested against, and the engine's ``"semantic"`` anchor mode.
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ __all__ = [
 
 #: Just above the orthogonal floor of the normalized-Euclidean
 #: relatedness (1/(1+sqrt(2)) ≈ 0.4142): prunes only pairs with
-#: essentially no full-space evidence. ``core.prefilter`` re-exports it
-#: as ``DEFAULT_PREFILTER_THRESHOLD`` (the historical name).
+#: essentially no full-space evidence.
 DEFAULT_NEIGHBOR_THRESHOLD = 0.435
 
 
@@ -134,15 +132,15 @@ class ApproxNeighborIndex:
     raises the collision chance for genuinely close vectors — the
     classical banding amplification — at the cost of more candidates.
     ``recall_target=1.0`` is the documented loss-free mode: it skips the
-    signatures and scans the full vocabulary exactly like
-    :class:`~repro.core.prefilter.TokenNeighborhoods`, so neighborhoods
-    are bit-identical to the exact path. Achieved recall at lower
-    targets is workload-dependent; ``benchmarks/bench_ann_prefilter.py``
-    measures the recall/throughput trade-off curve.
+    signatures and scans the full vocabulary
+    (:meth:`_exact_neighborhood`), the exact reference. Achieved recall
+    at lower targets is workload-dependent;
+    ``benchmarks/bench_ann_prefilter.py`` measures the recall/throughput
+    trade-off curve.
 
-    Neighborhoods are cached per token (like the exact class); the index
-    is read-only after construction apart from those caches, and safe to
-    share across matcher instances on one thread.
+    Neighborhoods are cached per token; the index is read-only after
+    construction apart from that cache, and safe to share across matcher
+    instances on one thread.
     """
 
     def __init__(
@@ -221,9 +219,9 @@ class ApproxNeighborIndex:
     def _exact_neighborhood(self, token: str) -> frozenset[str]:
         """Full vocabulary scan — the ``recall_target=1.0`` reference.
 
-        Byte-for-byte the same loop as
-        :class:`~repro.core.prefilter.TokenNeighborhoods`, so the two
-        produce identical frozensets for identical inputs.
+        Every corpus token whose full-space relatedness to ``token``
+        reaches the threshold, plus ``token`` itself; the approximate
+        path returns a subset of this for any recall target.
         """
         self._exact_scans.inc()
         vector = self.space.token_vector(token)

@@ -3,9 +3,10 @@
 Engine-level guarantees of the ANN prefilter and precomputed tier:
 
 * ``prefilter_mode="ann"`` at ``ann_recall_target=1.0`` is bit-identical
-  to ``"semantic"`` — same matches, same scores, same prune stats — for
-  both :class:`TwoPhaseMatcher` and :class:`ThematicEventEngine`
-  (hypothesis-driven over subscription/event samples);
+  to ``"semantic"`` — same matches, same scores, same prune counts — on
+  :class:`ThematicEventEngine` (hypothesis-driven over
+  subscription/event samples), and a micro-batch delivers exactly what
+  its events deliver one at a time;
 * attaching a warmed score store never changes match results: a
   store-backed engine delivers exactly what the same engine without the
   store delivers when the matcher scores on the kernel float path the
@@ -19,10 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import EngineConfig, ThematicEventEngine
+from repro.baselines import ExactMatcher, RewritingMatcher
+from repro.core.engine import PREFILTER_MODES, EngineConfig, ThematicEventEngine
 from repro.core.language import parse_event, parse_subscription
 from repro.core.matcher import ThematicMatcher
-from repro.core.prefilter import PREFILTER_MODES, TwoPhaseMatcher
 from repro.semantics.documents import DocumentSet
 from repro.semantics.kernel import PARITY_TOLERANCE
 from repro.semantics.measures import (
@@ -70,99 +71,84 @@ def result_signature(results):
     ]
 
 
-@pytest.fixture()
-def matcher(space):
-    return ThematicMatcher(CachedMeasure(ThematicMeasure(space)))
+def anchored_engine(space, subs, **config):
+    """An engine in an anchor mode with ``subs`` registered."""
+    engine = ThematicEventEngine(
+        ThematicMatcher(CachedMeasure(ThematicMeasure(space))),
+        EngineConfig(**config),
+    )
+    for sub in subs:
+        engine.subscribe(sub, lambda result: None)
+    return engine
 
 
 class TestTwoPhaseAnnParity:
+    """Candidate stage, then full matching: the ANN-generated anchors
+    against the exact-scan ones, one event at a time."""
+
     @settings(deadline=None, max_examples=15)
     @given(subs=subscription_samples, events=event_samples)
     def test_ann_at_recall_one_is_bit_identical(self, space, subs, events):
-        semantic = TwoPhaseMatcher(
-            ThematicMatcher(CachedMeasure(ThematicMeasure(space))), space
+        semantic = anchored_engine(space, subs, prefilter_mode="semantic")
+        ann = anchored_engine(
+            space, subs, prefilter_mode="ann", ann_recall_target=1.0
         )
-        ann = TwoPhaseMatcher(
-            ThematicMatcher(CachedMeasure(ThematicMeasure(space))),
-            space,
-            prefilter_mode="ann",
-            ann_recall_target=1.0,
-        )
-        for sub in subs:
-            semantic.add(sub)
-            ann.add(sub)
         for event in events:
-            left = semantic.match_event(event)
-            right = ann.match_event(event)
-            assert [
-                (sub_id, result.score) for sub_id, result in left
-            ] == [(sub_id, result.score) for sub_id, result in right]
-        assert semantic.stats.pruned_semantic_anchor == (
-            ann.stats.pruned_semantic_anchor
-        )
+            assert result_signature(semantic.process(event)) == (
+                result_signature(ann.process(event))
+            )
+        assert semantic.stats.snapshot() == ann.stats.snapshot()
 
-    def test_low_recall_never_invents_matches(self, space, matcher):
-        semantic = TwoPhaseMatcher(matcher, space)
-        ann = TwoPhaseMatcher(
-            matcher, space, prefilter_mode="ann", ann_recall_target=0.25
+    def test_low_recall_never_invents_matches(self, space):
+        semantic = anchored_engine(
+            space, SUBSCRIPTIONS, prefilter_mode="semantic"
         )
-        for sub in SUBSCRIPTIONS:
-            semantic.add(sub)
-            ann.add(sub)
+        ann = anchored_engine(
+            space,
+            SUBSCRIPTIONS,
+            prefilter_mode="ann",
+            ann_recall_target=0.25,
+        )
         for event in EVENTS:
-            exact_ids = {sub_id for sub_id, _ in semantic.match_event(event)}
-            ann_ids = {sub_id for sub_id, _ in ann.match_event(event)}
-            assert ann_ids <= exact_ids
+            exact = set(result_signature(semantic.process(event)))
+            assert set(result_signature(ann.process(event))) <= exact
 
 
 class TestEngineAnchorModes:
-    def engine(self, space, **config):
-        return ThematicEventEngine(
-            ThematicMatcher(CachedMeasure(ThematicMeasure(space))),
-            EngineConfig(**config),
-        )
-
     def deliveries(self, engine, events):
-        for sub in SUBSCRIPTIONS:
-            engine.subscribe(sub, lambda result: None)
         return [result_signature(engine.process(e)) for e in events]
 
     def test_ann_at_recall_one_matches_semantic_mode(self, space):
-        semantic = self.deliveries(
-            self.engine(space, prefilter_mode="semantic"), EVENTS
+        semantic = anchored_engine(space, SUBSCRIPTIONS, prefilter_mode="semantic")
+        ann = anchored_engine(
+            space, SUBSCRIPTIONS, prefilter_mode="ann", ann_recall_target=1.0
         )
-        ann = self.deliveries(
-            self.engine(
-                space, prefilter_mode="ann", ann_recall_target=1.0
-            ),
-            EVENTS,
-        )
-        assert semantic == ann
+        assert self.deliveries(semantic, EVENTS) == self.deliveries(ann, EVENTS)
 
     def test_batch_is_never_lossier_than_serial(self, space):
-        serial = self.deliveries(
-            self.engine(space, prefilter_mode="semantic"), EVENTS
+        """Anchors are decided per pair, so a batch is neither lossier
+        nor looser than the same events one at a time: equal streams."""
+        serial_engine = anchored_engine(
+            space, SUBSCRIPTIONS, prefilter_mode="semantic"
         )
-        batch_engine = self.engine(space, prefilter_mode="semantic")
-        for sub in SUBSCRIPTIONS:
-            batch_engine.subscribe(sub, lambda result: None)
+        serial = self.deliveries(serial_engine, EVENTS)
+        batch_engine = anchored_engine(
+            space, SUBSCRIPTIONS, prefilter_mode="semantic"
+        )
         batched = [
             result_signature(block)
             for block in batch_engine.process_batch(EVENTS)
         ]
-        for serial_block, batch_block in zip(serial, batched, strict=True):
-            assert set(serial_block) <= set(batch_block)
+        assert batched == serial
+        assert batch_engine.stats.pruned == serial_engine.stats.pruned
 
     def test_anchor_modes_prune_counter_moves(self, space):
-        engine = self.engine(space, prefilter_mode="semantic")
-        for sub in SUBSCRIPTIONS:
-            engine.subscribe(sub, lambda result: None)
-        for event in EVENTS:
-            engine.process(event)
+        engine = anchored_engine(space, SUBSCRIPTIONS, prefilter_mode="semantic")
+        self.deliveries(engine, EVENTS)
         assert engine.stats.pruned > 0
 
     def test_unsubscribe_keeps_anchor_index_consistent(self, space):
-        engine = self.engine(space, prefilter_mode="ann")
+        engine = anchored_engine(space, (), prefilter_mode="ann")
         handles = [
             engine.subscribe(sub, lambda result: None)
             for sub in SUBSCRIPTIONS
@@ -297,6 +283,17 @@ class TestConfigValidation:
             ThematicEventEngine(
                 matcher, EngineConfig(prefilter_mode="semantic")
             )
+
+    @pytest.mark.parametrize("mode", ["semantic", "ann"])
+    @pytest.mark.parametrize("baseline", ["exact", "rewriting"])
+    def test_anchor_modes_need_a_thematic_matcher_family(
+        self, thesaurus, baseline, mode
+    ):
+        matcher = (
+            ExactMatcher() if baseline == "exact" else RewritingMatcher(thesaurus)
+        )
+        with pytest.raises(ValueError, match="ThematicMatcher-family"):
+            ThematicEventEngine(matcher, EngineConfig(prefilter_mode=mode))
 
     def test_store_path_needs_a_thematic_matcher_family(self, tmp_path):
         class Opaque:

@@ -10,7 +10,7 @@ from repro.baselines.exact import ExactMatcher
 from repro.baselines.nonthematic import NonThematicMatcher
 from repro.baselines.rewriting import RewritingMatcher
 from repro.core.api import pairwise_match_batch
-from repro.core.engine import EngineConfig, EngineStats, ThematicEventEngine
+from repro.core.engine import EngineStats, ThematicEventEngine
 from repro.core.events import Event
 from repro.core.language import parse_event, parse_subscription
 from repro.core.matcher import ThematicMatcher
@@ -467,9 +467,8 @@ class TestEngineDispatch:
     ANCHORED = "({transport}, {unit= microgram})"
     EVENT = "({transport}, {vehicle: bus})"
 
-    def _engine(self, space, config=None):
-        matcher = ThematicMatcher(ThematicMeasure(space))
-        return ThematicEventEngine(matcher, config)
+    def _engine(self, space):
+        return ThematicEventEngine(ThematicMatcher(ThematicMeasure(space)))
 
     def test_snapshot_rebuilt_only_on_registration_change(self, space):
         engine = self._engine(space)
@@ -490,12 +489,6 @@ class TestEngineDispatch:
         assert delivered == []
         assert engine.stats.pruned == 1
         assert engine.stats.evaluations == 1  # counted despite the prune
-
-    def test_prefilter_can_be_disabled(self, space):
-        engine = self._engine(space, EngineConfig(prefilter=False))
-        engine.subscribe(parse_subscription(self.ANCHORED), lambda result: None)
-        engine.process(parse_event(self.EVENT))
-        assert engine.stats.pruned == 0
 
     def test_dispatch_matches_per_pair_decisions(self, space):
         matcher = ThematicMatcher(ThematicMeasure(space))

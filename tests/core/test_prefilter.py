@@ -1,10 +1,18 @@
-"""Tests for the two-phase matcher (candidate prefiltering)."""
+"""Candidate filtering: the pipeline's one candidate stage, via the engine.
+
+Arity and exact anchors are loss-free; the semantic anchors of the
+``"semantic"`` / ``"ann"`` engine modes are lossy and opt-in. Engine
+tests pin what is delivered and counted; :class:`BatchStats` pins which
+check pruned a pair.
+"""
 
 import pytest
 
+from repro.core.engine import EngineConfig, ThematicEventEngine
 from repro.core.language import parse_event, parse_subscription
 from repro.core.matcher import ThematicMatcher
-from repro.core.prefilter import TokenNeighborhoods, TwoPhaseMatcher
+from repro.core.pipeline import BatchStats
+from repro.semantics.index import ApproxNeighborIndex
 from repro.semantics.measures import CachedMeasure, ThematicMeasure
 
 EVENT = parse_event(
@@ -22,6 +30,10 @@ WRONG_ANCHOR = parse_subscription(
 TOO_BIG = parse_subscription(
     "({x}, {a~= b~, c~= d~, e~= f~, g~= h~, i~= j~, k~= l~})"
 )
+APPROXIMATE = parse_subscription("({power}, {type~= energy usage event~})")
+UNRELATED = parse_event(
+    "({social questions}, {type: meeting gathering, room: room 9})"
+)
 
 
 @pytest.fixture()
@@ -29,104 +41,117 @@ def matcher(space):
     return ThematicMatcher(CachedMeasure(ThematicMeasure(space)))
 
 
+def engine_for(matcher, subscriptions, mode="exact"):
+    engine = ThematicEventEngine(matcher, EngineConfig(prefilter_mode=mode))
+    handles = [engine.subscribe(sub, lambda result: None) for sub in subscriptions]
+    return engine, handles
+
+
+def candidate_stats(matcher, subscriptions, event, neighborhoods=None) -> BatchStats:
+    """The stage counts of the batch the engine runs for one event."""
+    batch = matcher.new_pipeline(neighborhoods=neighborhoods).run(
+        subscriptions, [event], prune_zero=True, deliver_threshold=matcher.threshold
+    )
+    return batch.stats
+
+
 class TestTokenNeighborhoods:
-    def test_includes_own_tokens(self, space):
-        hoods = TokenNeighborhoods(space)
-        assert "laptop" in hoods.neighbors("laptop")
-
-    def test_includes_synonym_tokens(self, space):
-        hoods = TokenNeighborhoods(space, threshold=0.45)
-        assert "computer" in hoods.neighbors("laptop")
-
-    def test_unknown_term_is_self_only(self, space):
-        hoods = TokenNeighborhoods(space)
-        assert hoods.neighbors("zebra") == frozenset({"zebra"})
-
-    def test_higher_threshold_smaller_neighborhood(self, space):
-        loose = TokenNeighborhoods(space, threshold=0.44)
-        tight = TokenNeighborhoods(space, threshold=0.6)
-        assert tight.neighbors("laptop") <= loose.neighbors("laptop")
+    def test_unknown_term_is_self_only(self, matcher, space):
+        """A value unknown to the space anchors only on itself: an event
+        carrying that token survives the semantic check, any other is pruned."""
+        hoods = ApproxNeighborIndex(space)
+        assert hoods.neighbors("qqqzebra") == frozenset({"qqqzebra"})
+        sub = parse_subscription("({power}, {device~= qqqzebra~})")
+        same = parse_event("({energy}, {device: qqqzebra})")
+        other = parse_event("({energy}, {device: computer})")
+        kept = candidate_stats(matcher, [sub], same, hoods)
+        assert kept.pruned_semantic == 0
+        assert kept.candidates == 1
+        pruned = candidate_stats(matcher, [sub], other, hoods)
+        assert pruned.pruned_semantic == 1
+        assert pruned.candidates == 0
 
 
 class TestExactPhases:
     def test_arity_pruning(self, matcher):
-        index = TwoPhaseMatcher(matcher)
-        index.add(TOO_BIG)
-        assert index.match_event(EVENT) == []
-        assert index.stats.pruned_arity == 1
-        assert index.stats.full_matches_run == 0
+        engine, _ = engine_for(matcher, [TOO_BIG])
+        assert engine.process(EVENT) == []
+        assert engine.stats.pruned == 1
+        stats = candidate_stats(matcher, [TOO_BIG], EVENT)
+        assert stats.pruned_arity == 1
+        assert stats.candidates == 0
 
     def test_exact_anchor_pruning(self, matcher):
-        index = TwoPhaseMatcher(matcher)
-        index.add(WRONG_ANCHOR)
-        assert index.match_event(EVENT) == []
-        assert index.stats.pruned_exact_anchor == 1
-        assert index.stats.full_matches_run == 0
+        engine, _ = engine_for(matcher, [WRONG_ANCHOR])
+        assert engine.process(EVENT) == []
+        assert engine.stats.pruned == 1
+        stats = candidate_stats(matcher, [WRONG_ANCHOR], EVENT)
+        assert stats.pruned_anchor == 1
+        assert stats.candidates == 0
 
     def test_survivor_matches(self, matcher):
-        index = TwoPhaseMatcher(matcher)
-        sub_id = index.add(MATCHING)
-        matches = index.match_event(EVENT)
-        assert [m[0] for m in matches] == [sub_id]
-        assert index.stats.delivered == 1
+        engine, _ = engine_for(matcher, [MATCHING])
+        assert [r.subscription for r in engine.process(EVENT)] == [MATCHING]
+        assert engine.stats.deliveries == 1
+        assert engine.stats.pruned == 0
 
     def test_remove(self, matcher):
-        index = TwoPhaseMatcher(matcher)
-        sub_id = index.add(MATCHING)
-        assert index.remove(sub_id)
-        assert index.match_event(EVENT) == []
-        assert not index.remove(sub_id)
-        assert len(index) == 0
+        engine, [handle] = engine_for(matcher, [MATCHING], mode="semantic")
+        assert engine.unsubscribe(handle)
+        assert engine.process(EVENT) == []
+        assert not engine.unsubscribe(handle)
+        assert engine.subscription_count() == 0
 
     def test_exact_phases_are_lossless(self, matcher, tiny_workload):
-        """Without semantic anchors the two-phase matcher returns exactly
-        what a full scan returns."""
-        index = TwoPhaseMatcher(matcher)  # no space -> no lossy phase
+        """Without semantic anchors the engine delivers exactly what a
+        full per-pair scan accepts."""
         subs = tiny_workload.subscriptions.approximate[:6]
-        for sub in subs:
-            index.add(sub)
+        engine, _ = engine_for(matcher, subs)
         for event in tiny_workload.events[:40]:
-            via_index = {sub_id for sub_id, _ in index.match_event(event)}
-            via_scan = {
-                i for i, sub in enumerate(subs) if matcher.matches(sub, event)
-            }
-            assert via_index == via_scan
+            via_engine = [r.subscription for r in engine.process(event)]
+            via_scan = [sub for sub in subs if matcher.matches(sub, event)]
+            assert via_engine == via_scan
 
 
 class TestSemanticAnchors:
     def test_prunes_unrelated_event(self, matcher, space):
-        index = TwoPhaseMatcher(matcher, space)
-        index.add(
-            parse_subscription("({power}, {type~= energy usage event~})")
+        engine, _ = engine_for(matcher, [APPROXIMATE], mode="semantic")
+        assert engine.process(UNRELATED) == []
+        assert engine.stats.pruned == 1
+        stats = candidate_stats(
+            matcher, [APPROXIMATE], UNRELATED, ApproxNeighborIndex(space)
         )
-        unrelated = parse_event(
-            "({social questions}, {type: meeting gathering, room: room 9})"
-        )
-        index.match_event(unrelated)
-        assert index.stats.pruned_semantic_anchor == 1
+        assert stats.pruned_semantic == 1
+        assert stats.pruned == 1
 
-    def test_keeps_synonym_event(self, matcher, space):
-        index = TwoPhaseMatcher(matcher, space)
-        sub_id = index.add(
-            parse_subscription("({power, computers}, {device~= laptop~})")
-        )
+    def test_keeps_synonym_event(self, matcher):
+        sub = parse_subscription("({power, computers}, {device~= laptop~})")
+        engine, _ = engine_for(matcher, [sub], mode="semantic")
         event = parse_event("({energy}, {device: computer})")
-        matches = index.match_event(event)
-        assert [m[0] for m in matches] == [sub_id]
+        assert [r.subscription for r in engine.process(event)] == [sub]
 
-    def test_recall_on_workload(self, matcher, space, tiny_workload):
+    def test_exact_anchors_apply_at_threshold_zero(self, space):
+        """At threshold 0.0 exact mode delivers zero-score pairs; the
+        anchor modes still prune a missing exact anchor."""
+        zero = ThematicMatcher(CachedMeasure(ThematicMeasure(space)), threshold=0.0)
+        exact, _ = engine_for(zero, [WRONG_ANCHOR])
+        assert [r.score for r in exact.process(EVENT)] == [0.0]
+        assert exact.stats.pruned == 0
+        anchored, _ = engine_for(zero, [WRONG_ANCHOR], mode="semantic")
+        assert anchored.process(EVENT) == []
+        assert anchored.stats.pruned == 1
+
+    def test_recall_on_workload(self, matcher, tiny_workload):
         """The lossy phase must keep the vast majority of true matches
         at the default threshold."""
-        full = TwoPhaseMatcher(matcher)
-        lossy = TwoPhaseMatcher(matcher, space)
         subs = tiny_workload.subscriptions.approximate[:6]
-        for sub in subs:
-            full.add(sub)
-            lossy.add(sub)
+        full, _ = engine_for(matcher, subs)
+        lossy, _ = engine_for(matcher, subs, mode="semantic")
         kept = missed = 0
         for event in tiny_workload.events[:60]:
-            exact = {sub_id for sub_id, _ in full.match_event(event)}
-            filtered = {sub_id for sub_id, _ in lossy.match_event(event)}
+            exact = {id(r.subscription) for r in full.process(event)}
+            filtered = {id(r.subscription) for r in lossy.process(event)}
+            assert filtered <= exact
             kept += len(exact & filtered)
             missed += len(exact - filtered)
         assert kept > 0

@@ -3,9 +3,8 @@
 The tentpole guarantee of the ANN anchor mode is stated here as
 hypothesis properties over the real default-corpus vocabulary:
 
-* ``recall_target=1.0`` is *bit-identical* to the exact
-  :class:`~repro.core.prefilter.TokenNeighborhoods` scan — not close,
-  identical — for any term;
+* ``recall_target=1.0`` is *bit-identical* to the exact full-vocabulary
+  scan (``_exact_neighborhood``) — not close, identical — for any term;
 * at any lower recall target the index is *sound*: every returned
   neighbor is a true neighbor (candidates are exact-rechecked), so the
   approximation can only miss, never invent.
@@ -15,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.prefilter import TokenNeighborhoods
 from repro.obs import MetricsRegistry
+from repro.semantics import tokenize
 from repro.semantics.index import (
     DEFAULT_NEIGHBOR_THRESHOLD,
     ApproxNeighborIndex,
@@ -41,11 +40,7 @@ terms = st.sampled_from(
 
 @pytest.fixture(scope="module")
 def exact(space):
-    return TokenNeighborhoods(space)
-
-
-@pytest.fixture(scope="module")
-def loss_free(space):
+    """The reference: recall 1.0 runs the exact full-vocabulary scan."""
     return ApproxNeighborIndex(space, recall_target=1.0)
 
 
@@ -67,18 +62,33 @@ def high_recall(space):
 class TestLossFreeMode:
     @settings(deadline=None)
     @given(term=terms)
-    def test_recall_one_is_bit_identical_to_exact_scan(
-        self, exact, loss_free, term
-    ):
-        assert loss_free.neighbors(term) == exact.neighbors(term)
+    def test_recall_one_is_bit_identical_to_exact_scan(self, exact, term):
+        scanned = frozenset().union(
+            *(exact._exact_neighborhood(token) for token in tokenize(term))
+        )
+        assert exact.neighbors(term) == scanned
 
     def test_recall_one_never_builds_signatures(self, space):
         index = ApproxNeighborIndex(space, recall_target=1.0)
         index.neighbors("laptop")
         assert index._buckets is None
 
-    def test_unknown_term_is_self_only(self, loss_free):
-        assert loss_free.neighbors("qqqzebra") == frozenset({"qqqzebra"})
+    def test_unknown_term_is_self_only(self, exact):
+        assert exact.neighbors("qqqzebra") == frozenset({"qqqzebra"})
+
+
+class TestThreshold:
+    def test_includes_own_tokens(self, exact):
+        assert "laptop" in exact.neighbors("laptop")
+
+    def test_includes_synonym_tokens(self, space):
+        index = ApproxNeighborIndex(space, threshold=0.45)
+        assert "computer" in index.neighbors("laptop")
+
+    def test_higher_threshold_smaller_neighborhood(self, space):
+        loose = ApproxNeighborIndex(space, threshold=0.44)
+        tight = ApproxNeighborIndex(space, threshold=0.6)
+        assert tight.neighbors("laptop") <= loose.neighbors("laptop")
 
 
 class TestApproximateMode:
@@ -131,6 +141,6 @@ class TestValidation:
     def test_default_threshold_matches_exact_default(self, space):
         assert (
             ApproxNeighborIndex(space).threshold
+            == ApproxNeighborIndex(space, recall_target=0.5).threshold
             == DEFAULT_NEIGHBOR_THRESHOLD
-            == TokenNeighborhoods(space).threshold
         )

@@ -124,7 +124,6 @@ CONFIG_FIELDS = {
         "mode",
     ],
     "EngineConfig": [
-        "prefilter",
         "private_pipeline",
         "span_tags",
         "degraded",
