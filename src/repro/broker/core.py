@@ -37,10 +37,15 @@ Three properties the tests pin down, for every front-end:
 
 * **Parity.** Deliveries — the set, the per-subscriber order, the
   sequence stamps, and every score — are bit-identical across
-  front-ends in every ``prefilter_mode``, however events are batched.
-  In ``"exact"`` mode they equal the per-pair reference oracle
-  (:func:`~repro.core.api.pairwise_match_batch`); the lossy
-  ``"semantic"`` / ``"ann"`` anchor modes deliver a subset of it.
+  front-ends in every ``prefilter_mode``, however events are batched,
+  sharded or journaled. They equal the per-pair reference oracle
+  (:func:`~repro.core.api.pairwise_match_batch` over the subscriptions
+  live at each publish): exactly in ``"exact"`` mode, and filtered by
+  the per-pair anchor rule in the lossy ``"semantic"`` / ``"ann"``
+  modes, where ``"ann"`` below recall 1.0 delivers a subset of that.
+  ``tests/test_oracle.py`` checks every front-end, anchor mode, score
+  source and durability setting against it. ``subscribe(replay=True)``
+  re-matches retained events one pair at a time, without anchors.
 * **No lock across user code.** Matching and sequencing happen under
   the registration lock; subscriber callbacks run after it is released,
   so a callback may subscribe, unsubscribe or publish.

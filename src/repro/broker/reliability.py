@@ -49,8 +49,9 @@ over-deadline callback's side effects may have happened, but the
 delivery is recorded as failed and retried/dead-lettered.
 
 At the **default policy** the fast path is unchanged: a subscriber
-without a callback gets an inbox append and nothing else, so the
-sharded parity suite stays bit-identical with reliability enabled.
+without a callback gets an inbox append and nothing else, so inbox
+deliveries stay bit-identical to the per-pair oracle with reliability
+enabled (``tests/test_oracle.py``).
 """
 
 from __future__ import annotations

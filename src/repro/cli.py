@@ -24,7 +24,8 @@ Commands
     flight-recorder dumps (or list the traces a file set contains).
 ``bench diff``
     Compare fresh ``BENCH_*.json`` artifacts against the committed
-    baselines; exit 1 on any regression (the CI perf gate).
+    baselines; exit 1 on any regression or baseline metric gone
+    missing (the CI perf gate).
 
 ``match`` and ``evaluate`` accept ``--trace``: tracing spans aggregate
 per-stage latency histograms and the command finishes with a per-stage
@@ -548,11 +549,18 @@ def cmd_bench_diff(args: argparse.Namespace) -> int:
     regressions = report.regressions
     if regressions:
         print(
-            f"\n{len(regressions)} regression(s) beyond "
-            f"±{report.tolerance:.0%}:",
+            f"\n{len(regressions)} metric(s) regressed beyond "
+            f"±{report.tolerance:.0%} or missing:",
             file=sys.stderr,
         )
         for delta in regressions:
+            if delta.status == "missing":
+                print(
+                    f"  {delta.metric}: {delta.baseline:.4g} -> missing "
+                    "(baseline metric no longer reported)",
+                    file=sys.stderr,
+                )
+                continue
             print(
                 f"  {delta.metric}: {delta.baseline:.4g} -> "
                 f"{delta.current:.4g} ({delta.delta:+.1%}, "

@@ -20,7 +20,10 @@ Comparison rules:
 * lists (per-cell grids, per-run samples) are skipped; scalar summary
   metrics are the contract between a bench and its gate;
 * a metric with baseline value 0 cannot produce a relative delta and is
-  reported informationally.
+  reported informationally;
+* a metric the baseline has and the fresh artifact lacks is a
+  ``"missing"`` row and fails the diff: a renamed or dropped metric
+  would otherwise stop being gated without anyone noticing.
 
 The markdown trend table (``--markdown-out``) is the reviewable face of
 the same data: one row per metric with direction-aware verdicts.
@@ -100,6 +103,10 @@ _LOWER_MARKERS = (
 )
 
 
+#: Row statuses that fail a diff.
+_FAILING = ("regression", "missing")
+
+
 @dataclass(frozen=True)
 class MetricDelta:
     """One metric compared across baseline and current artifacts."""
@@ -111,7 +118,7 @@ class MetricDelta:
     #: the baseline is 0 (the relative delta is undefined — see status).
     delta: float
     direction: str  # "higher" | "lower" | "info"
-    status: str  # "ok" | "regression" | "improved" | "info"
+    status: str  # "ok" | "regression" | "improved" | "info" | "new" | "missing"
 
 
 @dataclass(frozen=True)
@@ -140,11 +147,13 @@ class DiffReport:
 
     @property
     def regressions(self) -> tuple[MetricDelta, ...]:
+        """Rows that fail the diff: metrics beyond the tolerance in their
+        bad direction, and baseline metrics the fresh artifact lacks."""
         return tuple(
             delta
             for comparison in self.comparisons
             for delta in comparison.deltas
-            if delta.status == "regression"
+            if delta.status in _FAILING
         )
 
     @property
@@ -221,15 +230,27 @@ def compare_metrics(
     grew a new measurement — is reported as an informational ``"new"``
     row (baseline 0.0, delta 0.0) rather than dropped or failed: new
     coverage must never read as a regression, but it should be visible
-    in the trend table so the baseline gets re-recorded.
+    in the trend table so the baseline gets re-recorded. A metric
+    present only in the baseline is a ``"missing"`` row (current 0.0,
+    delta 0.0), which fails the comparison.
     """
     base_flat = flatten_metrics(baseline)
     cur_flat = flatten_metrics(current)
     deltas: list[MetricDelta] = []
     for path in sorted(base_flat):
-        if path not in cur_flat:
-            continue
         base_value = base_flat[path]
+        if path not in cur_flat:
+            deltas.append(
+                MetricDelta(
+                    metric=path,
+                    baseline=base_value,
+                    current=0.0,
+                    delta=0.0,
+                    direction=classify_metric(path),
+                    status="missing",
+                )
+            )
+            continue
         cur_value = cur_flat[path]
         delta = (
             (cur_value - base_value) / abs(base_value)
@@ -285,7 +306,7 @@ def compare_artifacts(
         current_doc.get("metrics", {}),
         tolerance=tolerance,
     )
-    if any(d.status == "regression" for d in deltas):
+    if any(d.status in _FAILING for d in deltas):
         status = "regression"
     elif any(d.status == "improved" for d in deltas):
         status = "improved"
@@ -335,6 +356,7 @@ _STATUS_LABELS = {
     "improved": "improved",
     "info": "·",
     "new": "new",
+    "missing": "**MISSING**",
 }
 
 
@@ -361,6 +383,11 @@ def render_markdown(report: DiffReport) -> str:
             if delta.status == "new":
                 lines.append(
                     f"| {delta.metric} | – | {delta.current:.4g} | – | new |"
+                )
+            elif delta.status == "missing":
+                lines.append(
+                    f"| {delta.metric} | {delta.baseline:.4g} | – | – "
+                    f"| {_STATUS_LABELS['missing']} |"
                 )
             else:
                 lines.append(

@@ -224,50 +224,6 @@ class TestReentrantCallbacks:
         assert broker.metrics.published == 2
 
 
-class TestAnchorModeBatching:
-    def stream(self, broker_cls, config, workload):
-        """(subscriber, sequence, score) deliveries of the workload stream."""
-        broker = broker_cls(
-            ThematicMatcher(CachedMeasure(ThematicMeasure(workload.space))),
-            config,
-        )
-        try:
-            handles = [
-                broker.subscribe(subscription)
-                for subscription in workload.subscriptions.approximate[:12]
-            ]
-            for event in workload.events[:120]:
-                broker.publish(event)
-            assert broker.flush(timeout=120)
-        finally:
-            broker.close()
-        return sorted(
-            (handle.id, delivery.sequence, delivery.score)
-            for handle in handles
-            for delivery in handle.drain()
-        )
-
-    def test_micro_batches_deliver_what_single_events_deliver(
-        self, tiny_workload
-    ):
-        """Semantic anchors are decided per (subscription, event) pair,
-        so a sharded micro-batch delivers exactly the inline stream —
-        they used to be OR-ed across the batch, which let a batch keep
-        pairs a single event would have pruned."""
-        inline = self.stream(
-            ThematicBroker, BrokerConfig(prefilter_mode="semantic"), tiny_workload
-        )
-        sharded = self.stream(
-            ShardedBroker,
-            BrokerConfig(
-                shards=2, max_batch=8, linger=0.05, prefilter_mode="semantic"
-            ),
-            tiny_workload,
-        )
-        assert inline
-        assert sharded == inline
-
-
 class TestMetrics:
     def test_counters(self, broker):
         broker.subscribe(MATCHING)

@@ -15,11 +15,7 @@ from repro.core.engine import ThematicEventEngine
 from repro.core.language import parse_event, parse_subscription
 from repro.core.matcher import ThematicMatcher
 from repro.semantics.measures import ThematicMeasure
-from tests.broker.test_sharded_parity import (
-    _matcher,
-    _serial_signature,
-    _signature,
-)
+from tests.oracle import Oracle, Reference, signature
 
 FRONT_ENDS = (ThematicBroker, ThreadedBroker, ShardedBroker)
 
@@ -142,21 +138,26 @@ class TestDefaultWorkers:
     """``workers=None`` sizes the pool to ``min(shards, cpu_count)``."""
 
     @pytest.mark.parametrize("cpus, pooled", [(1, False), (4, True)])
-    def test_pool_follows_cpu_count(self, space, monkeypatch, cpus, pooled):
+    def test_pool_follows_cpu_count(
+        self, space, matcher, monkeypatch, cpus, pooled
+    ):
         monkeypatch.setattr("os.cpu_count", lambda: cpus)
-        event_index = {id(event): j for j, event in enumerate(EVENTS)}
-        serial = _serial_signature(
-            space, SUBSCRIPTIONS, EVENTS, 1, 0.5, event_index
-        )
+        reference = Reference(Oracle(ThematicMatcher(ThematicMeasure(space))))
         before = _shard_workers()
         with ShardedBroker(
-            _matcher(space, 1, 0.5),
-            BrokerConfig(shards=4, workers=None, linger=0.0),
+            matcher, BrokerConfig(shards=4, workers=None, linger=0.0)
         ) as broker:
             handles = [broker.subscribe(s) for s in SUBSCRIPTIONS]
+            for handle in handles:
+                reference.subscribe(handle.id, handle.subscription)
             for event in EVENTS:
                 broker.publish(event)
+                reference.publish(event)
             assert broker.flush(timeout=60), "broker did not drain"
             assert sum(1 for load in broker.shard_sizes() if load) >= 2
             assert bool(_shard_workers() - before) is pooled
-        assert _signature(handles, event_index) == serial
+        assert reference.stream
+        for handle in handles:
+            assert [
+                signature(handle.id, d.sequence, d.result) for d in handle.drain()
+            ] == reference.of(handle.id)

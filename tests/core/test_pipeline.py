@@ -256,43 +256,6 @@ def test_deliver_threshold_conflicts_with_scores_only(space):
         )
 
 
-@settings(max_examples=15, deadline=None)
-@given(workload=workloads)
-def test_process_batch_matches_sequential_process(space, workload):
-    """Micro-batched dispatch == the same events processed one by one."""
-    subs, evts = workload
-
-    def run(consume):
-        engine = ThematicEventEngine(_fresh_matcher(space))
-        seen = []
-        for index, sub in enumerate(subs):
-            engine.subscribe(
-                sub, lambda result, index=index: seen.append((index, result))
-            )
-        per_event = consume(engine)
-        return engine, seen, per_event
-
-    serial_engine, serial_seen, serial_lists = run(
-        lambda engine: [engine.process(event) for event in evts]
-    )
-    batch_engine, batch_seen, batch_lists = run(
-        lambda engine: engine.process_batch(list(evts))
-    )
-
-    def digest(results):
-        return [
-            (r.subscription, r.score, r.mapping.assignment(), len(r.alternatives))
-            for r in results
-        ]
-
-    assert [digest(lst) for lst in batch_lists] == [
-        digest(lst) for lst in serial_lists
-    ]
-    assert [i for i, _ in batch_seen] == [i for i, _ in serial_seen]
-    assert batch_engine.stats.deliveries == serial_engine.stats.deliveries
-    assert batch_engine.stats.evaluations == serial_engine.stats.evaluations
-
-
 class TestPipelineStats:
     def test_dedup_and_prune_accounting(self, space):
         sub = parse_subscription("({transport}, {vehicle~= bus~})")
@@ -489,19 +452,6 @@ class TestEngineDispatch:
         assert delivered == []
         assert engine.stats.pruned == 1
         assert engine.stats.evaluations == 1  # counted despite the prune
-
-    def test_dispatch_matches_per_pair_decisions(self, space):
-        matcher = ThematicMatcher(ThematicMeasure(space))
-        engine = ThematicEventEngine(matcher)
-        subs = [parse_subscription(self.SUB), parse_subscription(self.ANCHORED)]
-        seen = []
-        for sub in subs:
-            engine.subscribe(sub, seen.append)
-        event = parse_event(self.EVENT)
-        delivered = engine.process(event)
-        expected = [sub for sub in subs if matcher.matches(sub, event)]
-        assert [r.subscription for r in delivered] == expected
-        assert [r.subscription for r in seen] == expected
 
 
 class TestEngineStatsRegistry:

@@ -75,19 +75,28 @@ class TestCompareMetrics:
         assert delta.status == "ok"
         assert delta.delta == pytest.approx(-0.05)
 
-    def test_baseline_only_metrics_are_skipped(self):
+    def test_baseline_only_metrics_are_missing_rows(self):
+        """A metric the fresh artifact stopped reporting fails the diff."""
         deltas = compare_metrics(
             {"mean_eps": 1.0, "old_only": 2.0}, {"mean_eps": 1.0}
         )
-        assert [d.metric for d in deltas] == ["mean_eps"]
+        assert [d.metric for d in deltas] == ["mean_eps", "old_only"]
+        missing = deltas[1]
+        assert missing.status == "missing"
+        assert missing.baseline == 2.0
+        comparison = compare_artifacts(
+            {"bench": "b", "scale": "tiny", "metrics": {"eps": 1.0, "runs": 3}},
+            {"bench": "b", "scale": "tiny", "metrics": {"eps": 1.0}},
+        )
+        assert comparison.status == "regression"
 
     def test_current_only_metrics_are_informational_new_rows(self):
         """A bench that grew a measurement must not regress or vanish."""
         deltas = compare_metrics(
             {"mean_eps": 1.0, "old_only": 2.0}, {"mean_eps": 1.0, "new_only": 3.0}
         )
-        assert [d.metric for d in deltas] == ["mean_eps", "new_only"]
-        new_row = deltas[1]
+        assert [d.metric for d in deltas] == ["mean_eps", "old_only", "new_only"]
+        new_row = deltas[2]
         assert new_row.status == "new"
         assert new_row.current == 3.0
         assert new_row.delta == 0.0
@@ -156,6 +165,31 @@ class TestDiffDirectories:
             tmp_path / "base", tmp_path / "cur", tolerance=0.25
         )
         assert report.ok
+
+
+class TestMissingMetricGate:
+    def test_missing_metric_fails_the_gate(self, tmp_path, capsys):
+        from repro.cli import main
+
+        write_artifact(tmp_path / "base", "fig9", 100.0)
+        (tmp_path / "cur").mkdir()
+        (tmp_path / "cur" / "BENCH_fig9.json").write_text(
+            json.dumps({"bench": "fig9", "scale": "small", "metrics": {}})
+        )
+        report = diff_directories(tmp_path / "base", tmp_path / "cur")
+        assert not report.ok
+        assert [d.metric for d in report.regressions] == ["mean_eps"]
+        assert "| mean_eps | 100 | – | – | **MISSING** |" in render_markdown(report)
+        code = main(
+            [
+                "bench", "diff",
+                "--baseline-dir", str(tmp_path / "base"),
+                "--current-dir", str(tmp_path / "cur"),
+                "--gate",
+            ]
+        )
+        assert code == 1
+        assert "mean_eps: 100 -> missing" in capsys.readouterr().err
 
 
 class TestMarkdown:
