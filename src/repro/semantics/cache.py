@@ -60,6 +60,13 @@ __all__ = [
 CacheKey = tuple[tuple[str, tuple[str, ...]], tuple[str, tuple[str, ...]]]
 
 
+@lru_cache(maxsize=65536)
+def _key_half(term: str, key: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
+    """One shared ``(term, theme key)`` tuple per distinct half: a memo
+    of many keys then stores each repeated half once, not once per key."""
+    return (term, key)
+
+
 def cache_key(
     term_s: str,
     theme_s: Iterable[str],
@@ -67,8 +74,8 @@ def cache_key(
     theme_e: Iterable[str],
 ) -> CacheKey:
     """The symmetric, normalized key of one ``sm`` lookup."""
-    left = (normalize_term(term_s), theme_key(theme_s))
-    right = (normalize_term(term_e), theme_key(theme_e))
+    left = _key_half(normalize_term(term_s), theme_key(theme_s))
+    right = _key_half(normalize_term(term_e), theme_key(theme_e))
     return (left, right) if left <= right else (right, left)
 
 

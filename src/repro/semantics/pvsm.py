@@ -18,7 +18,9 @@ Algorithm 1, restated:
 
 Projection is ``O(|V|)`` in the non-zero components, as the paper notes.
 Projected vectors are cached per ``(term, theme)``; themes are canonical
-frozensets so tag order and case never split the cache.
+frozensets so tag order and case never split the cache. Cross-theme
+scoring also memoizes, per ``(term, own theme, other theme)``, just the
+restricted (and normalized) operand its distance step consumes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import lru_cache
 
 from repro.obs import TRACER
 from repro.semantics.documents import DocumentSet
-from repro.semantics.space import DistributionalVectorSpace
+from repro.semantics.space import DistributionalVectorSpace, relatedness_from_distance
 from repro.semantics.tokenize import normalize_term, tokenize
 from repro.semantics.vectors import ZERO_VECTOR, SparseVector
 from repro.semantics.weighting import augmented_tf, idf
@@ -49,7 +51,7 @@ def theme_key(tags: Iterable[str]) -> tuple[str, ...]:
 
     Empty strings normalize away entirely and are dropped. Memoized:
     events and subscriptions carry themes as (often shared) frozensets,
-    and this function runs once per semantic-measure call.
+    and a single relatedness lookup calls this several times.
     """
     if not isinstance(tags, frozenset):
         tags = frozenset(tags)
@@ -84,6 +86,7 @@ class ParametricVectorSpace(DistributionalVectorSpace):
         self._common_bases: dict[
             tuple[tuple[str, ...], tuple[str, ...]], frozenset[int]
         ] = {}
+        # (term, own key, other key) -> prepared cross-theme operand.
         self._restricted: dict[
             tuple[str, tuple[str, ...], tuple[str, ...]], SparseVector
         ] = {}
@@ -182,7 +185,9 @@ class ParametricVectorSpace(DistributionalVectorSpace):
 
         * ``"common"`` (default) — the distance is computed over the
           *common dimensions* of the two thematic bases: each projected
-          vector is restricted to the intersection before normalization.
+          vector is restricted to the intersection before normalization
+          (restricting it to the other theme's basis is the same thing,
+          since a projection already lies inside its own basis).
           This matches the paper's own account of its cost behaviour
           ("two equal sets of thematic tags ... causes more common
           dimensions for the semantic measure to be calculated") and of
@@ -198,12 +203,12 @@ class ParametricVectorSpace(DistributionalVectorSpace):
         with TRACER.span("semantics.relatedness"):
             key_s, key_e = theme_key(theme_s), theme_key(theme_e)
             if mode == "common" and key_s != key_e:
-                left = self._project_common(term_s, key_s, key_e)
-                right = self._project_common(term_e, key_e, key_s)
-            else:
-                left = self.project(term_s, key_s)
-                right = self.project(term_e, key_e)
-            return self.vector_relatedness(left, right)
+                left = self._prepared(term_s, key_s, key_e)
+                right = self._prepared(term_e, key_e, key_s)
+                return relatedness_from_distance(self._prepared_distance(left, right))
+            return self.vector_relatedness(
+                self.project(term_s, key_s), self.project(term_e, key_e)
+            )
 
     def common_basis(
         self, theme_a: Iterable[str], theme_b: Iterable[str]
@@ -217,19 +222,23 @@ class ParametricVectorSpace(DistributionalVectorSpace):
             self._common_bases[cache_key] = cached
         return cached
 
-    def _project_common(
+    def _prepared(
         self,
         term: str,
         own_key: tuple[str, ...],
         other_key: tuple[str, ...],
     ) -> SparseVector:
-        """Own-theme projection restricted to the common basis (cached)."""
+        """Own-theme projection restricted to the other theme's basis, then
+        normalized if the space normalizes (cached); a restriction that
+        drops nothing shares the projection's own unit vector."""
         cache_key = (normalize_term(term), own_key, other_key)
         cached = self._restricted.get(cache_key)
         if cached is None:
             cached = self.project(term, own_key).restrict(
-                self.common_basis(own_key, other_key)
+                self.theme_basis(other_key)
             )
+            if self.normalize:
+                cached = cached.normalized()
             self._restricted[cache_key] = cached
         return cached
 
@@ -242,8 +251,8 @@ class ParametricVectorSpace(DistributionalVectorSpace):
         each pair; warming moves that cost offline (the
         ``repro warm-cache`` pipeline calls this before scoring the
         vocabulary cross-product, and cross-theme runs additionally warm
-        the pairwise common bases). Returns :meth:`cache_stats` so
-        callers can report what was materialized.
+        each term's operand for both orders of every theme pair). Returns
+        :meth:`cache_stats` so callers can report what was materialized.
         """
         terms = list(terms)
         keys = sorted({theme_key(theme) for theme in themes})
@@ -253,10 +262,9 @@ class ParametricVectorSpace(DistributionalVectorSpace):
                 self.project(term, key)
         for i, key_a in enumerate(keys):
             for key_b in keys[i + 1 :]:
-                self.common_basis(key_a, key_b)
                 for term in terms:
-                    self._project_common(term, key_a, key_b)
-                    self._project_common(term, key_b, key_a)
+                    self._prepared(term, key_a, key_b)
+                    self._prepared(term, key_b, key_a)
         return self.cache_stats()
 
     def cache_stats(self) -> dict[str, int]:

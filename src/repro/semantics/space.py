@@ -94,8 +94,8 @@ class DistributionalVectorSpace:
     def kernel(self) -> RelatednessKernel:
         """The vectorized relatedness kernel over :meth:`columnar`.
 
-        Shared per space (its projection caches mirror the scalar
-        caches); honors this space's ``normalize``/``metric`` and — for
+        Shared per space, with projection caches of its own; honors
+        this space's ``normalize``/``metric`` and — for
         :class:`~repro.semantics.pvsm.ParametricVectorSpace` — its
         ``recompute_idf`` ablation flag.
         """
@@ -153,19 +153,21 @@ class DistributionalVectorSpace:
         vector is infinitely far from everything (relatedness 0) because
         an unseen term carries no distributional evidence at all.
         """
-        if not left or not right:
-            return float("inf")
         if self.normalize:
             left, right = left.normalized(), right.normalized()
+        return self._prepared_distance(left, right)
+
+    def _prepared_distance(self, left: SparseVector, right: SparseVector) -> float:
+        """:meth:`distance` of operands already normalized if the space normalizes."""
+        if not left or not right:
+            return float("inf")
         if self.metric == "cosine":
             return 1.0 - left.cosine_similarity(right)
         return left.euclidean_distance(right)
 
     def vector_relatedness(self, left: SparseVector, right: SparseVector) -> float:
-        distance = self.distance(left, right)
-        if distance == float("inf"):
-            return 0.0
-        return relatedness_from_distance(distance)
+        # An infinite distance maps to exactly 0.0 under Equation 6.
+        return relatedness_from_distance(self.distance(left, right))
 
     def relatedness(self, term_a: str, term_b: str) -> float:
         """Semantic relatedness of two terms in ``[0, 1]``; symmetric."""

@@ -145,10 +145,17 @@ class SparseVector:
         return self._normalized
 
     def restrict(self, basis: frozenset[int] | set[int]) -> "SparseVector":
-        """Zero every component outside ``basis`` (projection primitive)."""
-        return SparseVector(
-            {d: w for d, w in self._components.items() if d in basis}
-        )
+        """Zero every component outside ``basis`` (projection primitive).
+
+        Returns ``self`` when nothing is dropped. Kept components were
+        validated when ``self`` was built and are not checked again.
+        """
+        kept = {d: w for d, w in self._components.items() if d in basis}
+        if len(kept) == len(self._components):
+            return self
+        restricted = SparseVector()
+        restricted._components = kept
+        return restricted
 
     # -- distances (Equation 5) -------------------------------------------
 

@@ -31,6 +31,13 @@ class TestRelatednessCache:
     def test_normalized_keys(self):
         assert cache_key("Energy ", (), "b1", ()) == cache_key("energy", (), "b1", ())
 
+    def test_equal_halves_are_one_object(self):
+        first = cache_key("power", ("energy",), "meter", ("grid",))
+        second = cache_key("Power ", frozenset({"Energy"}), "parking", ())
+        half = ("power", ("energy",))
+        assert first[1] == second[1] == half
+        assert first[1] is second[1]
+
     def test_counters(self):
         cache = RelatednessCache()
         key = cache_key("a1", (), "b1", ())

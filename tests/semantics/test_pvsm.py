@@ -141,6 +141,39 @@ class TestThematicRelatedness:
         with pytest.raises(ValueError):
             pvsm.thematic_relatedness("a", (), "b", (), mode="weird")
 
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("mode", ["common", "own"])
+    def test_bit_identical_to_the_definition(self, mode, normalize, metric):
+        # Empty, unknown-tag, equal, nested (energy inside the wide
+        # theme) and disjoint (grid / garage) theme pairs, in both orders.
+        themes = [
+            (),
+            ("zebra",),
+            ("energy",),
+            ("energy", "politics", "transport"),
+            ("grid",),
+            ("garage",),
+        ]
+        terms = ["power", "meter", "parking", "energy consumption", "street", "zebra"]
+        scored = ParametricVectorSpace(TOY, normalize=normalize, metric=metric)
+        reference = ParametricVectorSpace(TOY, normalize=normalize, metric=metric)
+        for theme_s in themes:
+            for theme_e in themes:
+                key_s, key_e = theme_key(theme_s), theme_key(theme_e)
+                common = reference.theme_basis(key_s) & reference.theme_basis(key_e)
+                for term_s in terms:
+                    for term_e in terms:
+                        left = reference.project(term_s, key_s)
+                        right = reference.project(term_e, key_e)
+                        if mode == "common" and key_s != key_e:
+                            left, right = left.restrict(common), right.restrict(common)
+                        expected = reference.vector_relatedness(left, right)
+                        got = scored.thematic_relatedness(
+                            term_s, theme_s, term_e, theme_e, mode=mode
+                        )
+                        assert got == expected, (term_s, theme_s, term_e, theme_e)
+
     def test_common_basis_symmetric_and_cached(self, pvsm):
         ab = pvsm.common_basis(["energy"], ["grid"])
         ba = pvsm.common_basis(["grid"], ["energy"])
@@ -160,6 +193,20 @@ class TestCacheStats:
         ):
             assert key in stats
             assert stats[key] >= 0
+
+
+class TestPreparedMemo:
+    def test_one_cross_theme_score_stores_only_its_two_operands(self):
+        space = ParametricVectorSpace(TOY)
+        wide, narrow = ["energy", "politics", "transport"], ["energy"]
+        space.thematic_relatedness("power", wide, "meter", narrow, mode="common")
+        stats = space.cache_stats()
+        assert stats["common_bases"] == 0
+        assert stats["restricted"] == 2
+        # 'meter' projects inside the energy documents, which the wide
+        # basis contains: its operand is the projection's own unit vector.
+        operand = space._restricted[("meter", theme_key(narrow), theme_key(wide))]
+        assert operand is space.project("meter", narrow).normalized()
 
 
 class TestOnDefaultCorpus:
