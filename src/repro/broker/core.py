@@ -38,14 +38,14 @@ Three properties the tests pin down, for every front-end:
 * **Parity.** Deliveries — the set, the per-subscriber order, the
   sequence stamps, and every score — are bit-identical across
   front-ends in every ``prefilter_mode``, however events are batched,
-  sharded or journaled. They equal the per-pair reference oracle
-  (:func:`~repro.core.api.pairwise_match_batch` over the subscriptions
-  live at each publish): exactly in ``"exact"`` mode, and filtered by
-  the per-pair anchor rule in the lossy ``"semantic"`` / ``"ann"``
-  modes, where ``"ann"`` below recall 1.0 delivers a subset of that.
-  ``tests/test_oracle.py`` checks every front-end, anchor mode, score
-  source and durability setting against it. ``subscribe(replay=True)``
-  re-matches retained events one pair at a time, without anchors.
+  sharded, journaled or replayed. They equal the per-pair reference
+  oracle (:func:`~repro.core.api.pairwise_match_batch` over the
+  subscriptions live at each publish, or the retained events at a
+  ``subscribe(replay=True)``): exactly in ``"exact"`` mode, and
+  filtered by the per-pair anchor rule in the lossy ``"semantic"`` /
+  ``"ann"`` modes, where ``"ann"`` below recall 1.0 delivers a subset
+  of that. ``tests/test_oracle.py`` checks every front-end, anchor
+  mode, score source and durability setting against it.
 * **No lock across user code.** Matching and sequencing happen under
   the registration lock; subscriber callbacks run after it is released,
   so a callback may subscribe, unsubscribe or publish.
@@ -281,9 +281,10 @@ class BrokerCore:
         """Register a subscription; optionally replay buffered events.
 
         With ``replay=True`` the retained events are matched against the
-        new subscription immediately (time decoupling: consumers need
-        not be active when producers fire). ``policy`` overrides the
-        broker-wide delivery policy for this subscriber alone.
+        new subscription immediately, as one gated batch on its shard
+        (time decoupling: consumers need not be active when producers
+        fire). ``policy`` overrides the broker-wide delivery policy for
+        this subscriber alone.
 
         The handle's ``id`` is assigned here (registration order, also
         the delivery-order key of the shard merge) and its
@@ -295,20 +296,16 @@ class BrokerCore:
         with self._lock:
             entry = self._register(subscription, callback, policy)
             if replay:
-                for sequence, event in list(self._replay):
-                    self.metrics.inc("evaluations")
-                    result = self._shards.match_one(
-                        subscription, event, shard=entry.shard
+                self.metrics.inc("evaluations", len(self._replay))
+                replayed = [
+                    Delivery(
+                        result=result, sequence=sequence, trace=TRACER.mint_trace()
                     )
-                    if result is not None:
-                        self.metrics.inc("replayed")
-                        replayed.append(
-                            Delivery(
-                                result=result,
-                                sequence=sequence,
-                                trace=TRACER.mint_trace(),
-                            )
-                        )
+                    for sequence, result in self._shards.replay(
+                        entry.shard, subscription, list(self._replay)
+                    )
+                ]
+                self.metrics.inc("replayed", len(replayed))
         # Dispatch with the lock released: callbacks are user code and may
         # re-enter the broker (RL100). The handle is already registered,
         # so replayed deliveries keep their position before any batch
@@ -520,38 +517,44 @@ class BrokerCore:
         assert durability is not None
         state = durability.state
 
-        def rematch(sub_id: int, sequence: int) -> Delivery | None:
-            # Deterministic, so a restored inbox or dead letter equals
-            # the lost one.
-            entry = self._subscribers.get(sub_id)
-            event = state.event(sequence)
-            result = (
-                self._shards.match_one(
-                    entry.handle.subscription, event, shard=entry.shard
-                )
-                if entry is not None and event is not None
-                else None
-            )
-            if result is None:
-                durability.note_restore_miss()
-                return None
-            return Delivery(result=result, sequence=sequence)
-
         with self._lock:
             for sub_id, key, subscription, policy in state.subscription_entries():
                 entry = self._register(
                     subscription, None, policy, sub_id=sub_id, key=key, log=False
                 )
                 self.recovered[sub_id] = entry.handle
-            # Undrained inbox cursors.
-            for sub_id, sequences in state.live_entries():
+            # One replay batch per subscriber over its undrained inbox and
+            # dead letters. Matching is deterministic, so a restored inbox
+            # or dead letter equals the lost one.
+            inboxes = state.live_entries()
+            dead = state.dead_letter_entries()
+            wanted = {sub_id: list(sequences) for sub_id, sequences in inboxes}
+            for record in dead:
+                wanted.setdefault(int(record["id"]), []).append(int(record["seq"]))
+            matched = {
+                (sub_id, sequence): result
+                for sub_id, sequences in wanted.items()
+                if (owner := self._subscribers.get(sub_id)) is not None
+                for sequence, result in self._shards.replay(
+                    owner.shard, owner.handle.subscription, state.entries(sequences)
+                )
+            }
+
+            def rematch(sub_id: int, sequence: int) -> Delivery | None:
+                result = matched.get((sub_id, sequence))
+                if result is None:
+                    durability.note_restore_miss()
+                    return None
+                return Delivery(result=result, sequence=sequence)
+
+            for sub_id, sequences in inboxes:
                 if sub_id not in self._subscribers:
                     continue
                 for sequence in sequences:
                     delivery = rematch(sub_id, sequence)
                     if delivery is not None:
                         self._subscribers[sub_id].handle.append(delivery)
-            for record in state.dead_letter_entries():
+            for record in dead:
                 sub_id = int(record["id"])
                 delivery = rematch(sub_id, int(record["seq"]))
                 if delivery is not None:

@@ -68,6 +68,7 @@ import os
 import struct
 import threading
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -603,14 +604,15 @@ class DurableState:
             if seq >= window_low
         ]
 
+    def entries(self, sequences: Iterable[int]) -> list[tuple[int, Event]]:
+        """``(sequence, event)`` for each of ``sequences`` still journaled."""
+        return [
+            (seq, event) for seq in sequences if (event := self.event(seq)) is not None
+        ]
+
     def pending_entries(self) -> list[tuple[int, Event]]:
         """Events published but not fully dispatched, oldest first."""
-        out: list[tuple[int, Event]] = []
-        for seq in sorted(self.pending):
-            event = self.event(seq)
-            if event is not None:
-                out.append((seq, event))
-        return out
+        return self.entries(sorted(self.pending))
 
 
 # -- recovery --------------------------------------------------------------

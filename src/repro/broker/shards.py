@@ -220,10 +220,14 @@ class EngineShards:
                 for j, slot, result in engine.survivors(events)
             ]
 
-    def match_one(
-        self, subscription: Subscription, event: Event, *, shard: int = 0
-    ) -> MatchResult | None:
-        return self.engines[shard].match_one(subscription, event)
+    def replay(
+        self, shard: int, subscription: Subscription, retained: list[tuple[int, Event]]
+    ) -> list[tuple[int, MatchResult]]:
+        """``(sequence, result)`` for each retained ``(sequence, event)``
+        delivered to ``subscription``, matched as one batch on ``shard``."""
+        events = [event for _, event in retained]
+        matches = self.engines[shard].replay(subscription, events)
+        return [(retained[j][0], result) for j, result in matches]
 
     def shard_snapshots(self) -> list[dict[str, Any]]:
         return [engine.stats.registry.snapshot() for engine in self.engines]

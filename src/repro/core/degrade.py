@@ -22,7 +22,9 @@ never the delivery of exactly-matching events.
 
 Recovery is probe-based: after ``cooldown`` seconds in degraded mode the
 next batch runs the full thematic path as a probe; a within-budget probe
-closes the loop, an over-budget probe re-trips. Every transition is
+closes the loop, an over-budget probe re-trips. A replay or restore
+batch (``ThematicEventEngine.replay``) is a batch like any other: it is
+timed, shielded, and may serve as the probe. Every transition is
 recorded as a :class:`DowngradeEvent` and counted in the engine's
 metrics registry (``engine.degraded_*``), so a downgrade is always
 observable, never silent.
@@ -56,7 +58,9 @@ class DegradedPolicy:
     latency_budget:
         Maximum acceptable duration (seconds) of one full thematic
         ``match_batch`` call. Budgets are per batch, so size them for
-        the broker's ``max_batch`` (micro-batches are bounded).
+        the broker's ``max_batch`` (micro-batches are bounded) and for
+        a replay, which matches one subscription against the whole
+        replay ring in one batch.
     cooldown:
         Seconds to stay degraded before probing the full path again.
     trip_after:
@@ -106,7 +110,6 @@ class DegradedMode:
         self._trips = registry.counter("engine.degraded_trips")
         self._recoveries = registry.counter("engine.degraded_recoveries")
         self._fallback_batches = registry.counter("engine.degraded_batches")
-        self._fallback_matches = registry.counter("engine.degraded_matches")
         self._active = registry.gauge("engine.degraded_active")
         self._lock = threading.Lock()
         self._state = HEALTHY
@@ -147,17 +150,6 @@ class DegradedMode:
     def note_fallback_batch(self) -> None:
         """Count one batch served by the exact-anchor fallback."""
         self._fallback_batches.inc()
-
-    def note_fallback_match(self) -> None:
-        """Count one single-pair match served by the exact-anchor fallback.
-
-        The replay/ad-hoc path (``ThematicEventEngine.match_one``) is
-        accounted separately from batches: its durations are never fed
-        to :meth:`observe`, because the latency budget is sized per
-        batch and a cheap single pair would dilute the over-budget
-        streak (and recover the controller spuriously as a probe).
-        """
-        self._fallback_matches.inc()
 
     def observe(self, elapsed: float) -> None:
         """Feed the duration of one *full* (thematic) batch."""

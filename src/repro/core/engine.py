@@ -25,11 +25,17 @@ keeps the exact anchors on at any threshold). Every anchor decision is
 per (subscription, event) pair, so a micro-batch delivers exactly what
 its events deliver one at a time.
 
+Replay and journal restore match through the same gated batch
+(:meth:`ThematicEventEngine.replay`, one subscription against the
+retained events), so every way an event reaches a subscriber passes the
+same anchors, threshold gate and degraded fallback.
+
 Configuration is an :class:`EngineConfig`; when a
-:class:`~repro.core.degrade.DegradedPolicy` is set, every full batch is
-timed through the injected clock and an over-budget (or manually
-unhealthy) backend flips dispatch to an exact-anchor fallback pipeline
-until a probe recovers — see :mod:`repro.core.degrade`.
+:class:`~repro.core.degrade.DegradedPolicy` is set, every full batch
+(replays included) is timed through the injected clock and an
+over-budget (or manually unhealthy) backend flips dispatch to an
+exact-anchor fallback pipeline until a probe recovers — see
+:mod:`repro.core.degrade`.
 """
 
 from __future__ import annotations
@@ -298,11 +304,9 @@ class ThematicEventEngine:
                     span_tags=self.config.span_tags, neighborhoods=neighborhoods
                 )
         self.degraded: DegradedMode | None = None
-        self._fallback_matcher = None
         self._fallback_pipeline = None
         if self.config.degraded is not None:
-            self._fallback_matcher = self._build_fallback(matcher)
-            self._fallback_pipeline = self._fallback_matcher.new_pipeline(
+            self._fallback_pipeline = self._build_fallback(matcher).new_pipeline(
                 span_tags={"degraded": True}, neighborhoods=neighborhoods
             )
             self.degraded = DegradedMode(
@@ -313,7 +317,7 @@ class ThematicEventEngine:
         self._subscriptions: dict[int, tuple[Subscription, MatchCallback]] = {}
         self._next_id = 0
         # Registration snapshot, rebuilt only when the set changes.
-        self._snapshot: list[tuple[Subscription, MatchCallback]] | None = None
+        self._snapshot: tuple[list[Subscription], list[MatchCallback]] | None = None
 
     @staticmethod
     def _build_fallback(matcher: ThematicMatcher) -> ThematicMatcher:
@@ -323,9 +327,9 @@ class ThematicEventEngine:
         :class:`~repro.semantics.measures.ExactMeasure` with no
         calibration: a non-identical approximated term scores exactly
         0.0, so only literal anchors carry matches — content-based
-        matching at the original matcher's delivery threshold. The
-        batch path runs it through a private pipeline; the single-pair
-        path (:meth:`match_one`) calls it directly.
+        matching at the original matcher's delivery threshold. Every
+        batch the controller sends to the fallback — live, replay or
+        restore — runs it through one private pipeline.
         """
         required = ("measure", "k", "threshold", "min_relatedness")
         if any(not hasattr(matcher, name) for name in required):
@@ -458,65 +462,11 @@ class ThematicEventEngine:
         """Coherent view of the engine counters (JSON-ready)."""
         return self.stats.snapshot()
 
-    def _registrations(self) -> list[tuple[Subscription, MatchCallback]]:
+    def _registrations(self) -> tuple[list[Subscription], list[MatchCallback]]:
         if self._snapshot is None:
-            self._snapshot = list(self._subscriptions.values())
+            registered = self._subscriptions.values()
+            self._snapshot = ([s for s, _ in registered], [c for _, c in registered])
         return self._snapshot
-
-    def match_one(self, subscription: Subscription, event: Event) -> MatchResult | None:
-        """Per-pair match through this engine (replay, ad-hoc queries).
-
-        Counts the evaluation but does not dispatch; returns the result
-        only when it clears the matcher's threshold.
-
-        While the degraded controller is tripped (or the backend is
-        marked unhealthy) the pair runs the exact-anchor fallback
-        matcher, like every batch, so replay traffic cannot sneak past
-        the shield onto the slow semantic backend. Trip/probe/recovery
-        accounting stays batch-driven: the latency budget is sized per
-        batch, so single-pair durations are never fed to the controller
-        (see
-        :meth:`~repro.core.degrade.DegradedMode.note_fallback_match`).
-        """
-        self.stats.inc("evaluations")
-        matcher = self.matcher
-        if self.degraded is not None and self.degraded.degraded:
-            self.degraded.note_fallback_match()
-            matcher = self._fallback_matcher
-        result = matcher.match(subscription, event)
-        if result is None or not result.is_match(matcher.threshold):
-            return None
-        return result
-
-    def _run_batch(
-        self,
-        subscriptions: list[Subscription],
-        events: list[Event],
-        *,
-        prune_zero: bool,
-    ):
-        """One delivery-gated ``match_batch`` through this engine's
-        pipeline choice.
-
-        With a degraded policy configured the full path is timed and an
-        over-budget (or manually unhealthy) backend routes subsequent
-        batches to the exact-anchor fallback; recovery probes re-enter
-        the full path (see :class:`~repro.core.degrade.DegradedMode`).
-        """
-        if self.degraded is None:
-            return self._run_full(subscriptions, events, prune_zero=prune_zero)
-        if self.degraded.use_fallback():
-            self.degraded.note_fallback_batch()
-            return self._fallback_pipeline.run(
-                subscriptions,
-                events,
-                prune_zero=prune_zero,
-                deliver_threshold=self.matcher.threshold,
-            )
-        started = self.clock.monotonic()
-        batch = self._run_full(subscriptions, events, prune_zero=prune_zero)
-        self.degraded.observe(self.clock.monotonic() - started)
-        return batch
 
     def _run_full(
         self,
@@ -551,35 +501,80 @@ class ThematicEventEngine:
     ) -> Iterator[tuple[int, Any, MatchResult]]:
         """Match a micro-batch; yield every deliverable pair, undispatched.
 
-        The engine's one dispatch path: a single delivery-gated
-        ``match_batch`` covers the (registration snapshot x batch) grid
-        — result objects are materialized only for pairs at or above
-        the matcher's threshold — and each survivor comes back as
-        ``(event index, registered callback, result)``, events in
-        arrival order, each in registration order. :meth:`process_batch`
-        invokes the callbacks; the broker's shard engines read the
-        registration off the callback slot instead and merge shards
-        into one globally ordered delivery stream.
+        The engine's dispatch path: one delivery-gated ``match_batch``
+        covers the (registration snapshot x batch) grid and each
+        survivor comes back as ``(event index, registered callback,
+        result)``, events in arrival order, each in registration order.
+        :meth:`process_batch` invokes the callbacks; the broker's shard
+        engines read the registration off the callback slot instead and
+        merge shards into one globally ordered delivery stream.
         """
-        registrations = self._registrations()
+        subscriptions, callbacks = self._registrations()
         self.stats.inc("events_processed", len(events))
-        self.stats.inc("evaluations", len(registrations) * len(events))
-        if not events or not registrations:
-            return
+        self.stats.inc("evaluations", len(subscriptions) * len(events))
+        if not events or not subscriptions:
+            return iter(())
+        return self._deliverable(subscriptions, callbacks, events)
+
+    def replay(
+        self, subscription: Subscription, events: list[Event]
+    ) -> list[tuple[int, MatchResult]]:
+        """Match one (possibly unregistered) subscription against events.
+
+        The broker's replay and journal-restore path: the same gated
+        batch as :meth:`survivors` — candidate anchors, threshold gate,
+        degraded fallback and its timing — over a ``[subscription] x
+        events`` grid. Returns ``(event index, result)`` for every
+        deliverable pair, in event order; nothing is dispatched and
+        ``events_processed`` is not counted.
+        """
+        self.stats.inc("evaluations", len(events))
+        if not events:
+            return []
+        return [
+            (j, result)
+            for j, _, result in self._deliverable([subscription], [None], events)
+        ]
+
+    def _deliverable(
+        self, subscriptions: list[Subscription], tags: list[Any], events: list[Event]
+    ) -> Iterator[tuple[int, Any, MatchResult]]:
+        """Yield ``(event index, tags[i], result)`` for each deliverable
+        pair of ``subscriptions[i]``: the engine's one match path.
+
+        One delivery-gated ``match_batch``, with zero-score pruning on
+        for any positive threshold; result objects are materialized only
+        for pairs at or above the matcher's threshold. With a degraded
+        policy configured the full path is timed and an over-budget (or
+        manually unhealthy) backend routes subsequent batches to the
+        exact-anchor fallback; recovery probes re-enter the full path
+        (see :class:`~repro.core.degrade.DegradedMode`).
+        """
         threshold = self.matcher.threshold
-        batch = self._run_batch(
-            [subscription for subscription, _ in registrations],
-            events,
-            prune_zero=threshold > 0,
-        )
+        prune_zero = threshold > 0
+        degraded = self.degraded
+        if degraded is None:
+            batch = self._run_full(subscriptions, events, prune_zero=prune_zero)
+        elif degraded.use_fallback():
+            degraded.note_fallback_batch()
+            batch = self._fallback_pipeline.run(
+                subscriptions,
+                events,
+                prune_zero=prune_zero,
+                deliver_threshold=threshold,
+            )
+        else:
+            started = self.clock.monotonic()
+            batch = self._run_full(subscriptions, events, prune_zero=prune_zero)
+            degraded.observe(self.clock.monotonic() - started)
         if batch.stats is not None:
             self.stats.inc("pruned", batch.stats.pruned)
         for j in range(len(events)):
-            for index, (_, callback) in enumerate(registrations):
+            for index, tag in enumerate(tags):
                 result = batch.result(index, j)
                 if result is not None and result.is_match(threshold):
                     self.stats.inc("deliveries")
-                    yield j, callback, result
+                    yield j, tag, result
 
     def process_batch(self, events: list[Event]) -> list[list[MatchResult]]:
         """Match and dispatch a micro-batch; one result list per event.

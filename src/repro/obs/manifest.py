@@ -102,11 +102,6 @@ METRICS: tuple[MetricSpec, ...] = (
         "engine.degraded_batches", "counter", "Batches served by the fallback."
     ),
     MetricSpec(
-        "engine.degraded_matches",
-        "counter",
-        "Single-pair matches served by the fallback.",
-    ),
-    MetricSpec(
         "engine.degraded_active",
         "gauge",
         "1 while the engine is in degraded mode, else 0.",

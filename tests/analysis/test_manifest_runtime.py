@@ -8,8 +8,12 @@ expansion instead: every ``"<prefix>.<field>"`` the loops produce must
 be a declared counter in the manifest.
 """
 
+import ast
+from pathlib import Path
+
 from repro.broker.broker import BrokerMetrics
 from repro.core.engine import EngineStats
+from repro.obs import manifest
 from repro.obs.manifest import METRICS, metric_names, spec_for
 
 
@@ -25,6 +29,21 @@ class TestFieldsLoopsAreDeclared:
             spec = spec_for(f"engine.{field}")
             assert spec is not None, f"engine.{field} missing from manifest"
             assert spec.kind == "counter", f"engine.{field} is {spec.kind}"
+
+    def test_no_dead_entries(self):
+        """The reverse of RL400: every exact name is still registered, as
+        a string literal under ``src/`` or through a FIELDS loop."""
+        source = Path(manifest.__file__)
+        names = {
+            node.value
+            for path in source.parents[1].rglob("*.py") if path != source
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        names |= {f"broker.{f}" for f in BrokerMetrics.FIELDS}
+        names |= {f"engine.{f}" for f in EngineStats.FIELDS}
+        exact = [s.name for s in METRICS if not s.name.endswith(".*")]
+        assert [name for name in exact if name not in names] == []
 
 
 class TestManifestWellFormed:

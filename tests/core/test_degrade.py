@@ -219,36 +219,17 @@ class TestEngineIntegration:
             == 1
         )
 
-    def test_match_one_shielded_while_degraded(self, space):
-        """Regression: the single-pair path (replay/ad-hoc) used to run
-        the full semantic backend even while the controller was
-        degraded, bypassing the shield entirely."""
-        engine, measure, clock = self.engine(space)
-        event = make_event("solo")
-        # Healthy: the full thematic path serves single-pair matches.
-        assert engine.match_one(APPROX_SUB, event) is not None
-        engine.degraded.mark_unhealthy("cache corrupted")
-        # Degraded: exact-anchor fallback — the literal subscription
-        # still matches, the approximate one no longer does, and the
-        # (now very slow) semantic backend is never touched.
-        measure.spike = 100.0
-        before = clock.monotonic()
-        assert engine.match_one(EXACT_SUB, event) is not None
-        assert engine.match_one(APPROX_SUB, event) is None
-        assert clock.monotonic() == before
-        counters = engine.stats.registry.snapshot()["counters"]
-        assert counters["engine.degraded_matches"] == 2
-        # Recovery restores the full path for single pairs too.
-        engine.degraded.mark_healthy()
-        measure.spike = 0.0
-        assert engine.match_one(APPROX_SUB, event) is not None
-
     def test_replay_uses_fallback_while_degraded(self, space):
+        """A replay is a batch like any other: while the backend is
+        unhealthy it runs the exact-anchor fallback, never the (now very
+        slow) semantic backend, and counts as a fallback batch."""
         from repro.broker import BrokerConfig, ThematicBroker
 
         clock = FakeClock()
+        matcher = ThematicMatcher(ThematicMeasure(space))
+        measure = matcher.measure = _SpikyMeasure(matcher.measure, clock)
         broker = ThematicBroker(
-            ThematicMatcher(ThematicMeasure(space)),
+            matcher,
             BrokerConfig(
                 degraded=DegradedPolicy(latency_budget=0.1, cooldown=5.0)
             ),
@@ -256,10 +237,18 @@ class TestEngineIntegration:
         )
         broker.publish(make_event("one"))
         broker.engine.degraded.mark_unhealthy("backend down")
+        measure.spike = 100.0
         exact_late = broker.subscribe(EXACT_SUB, replay=True)
         approx_late = broker.subscribe(APPROX_SUB, replay=True)
+        assert clock.monotonic() == 0.0
         assert len(exact_late.drain()) == 1
         assert approx_late.drain() == []  # approximate fragment suspended
+        counters = broker.engine.stats.registry.snapshot()["counters"]
+        assert counters["engine.degraded_batches"] == 2
+        # Recovery restores the full path for replays too.
+        broker.engine.degraded.mark_healthy()
+        measure.spike = 0.0
+        assert len(broker.subscribe(APPROX_SUB, replay=True).drain()) == 1
 
     def test_no_policy_means_no_controller(self, space):
         matcher = ThematicMatcher(ThematicMeasure(space))

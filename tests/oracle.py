@@ -4,9 +4,8 @@ The paper defines matching per (subscription, event) pair (§3.5), so the
 reference is the per-pair loop, :func:`~repro.core.api.pairwise_match_batch`,
 over a fresh matcher of the host's configuration and the subscriptions
 live when each event is published. However a host filters, batches,
-shards, caches or journals, its deliveries must equal that stream, minus
-only the ``"semantic"`` / ``"ann"`` modes' :class:`AnchorRule`. Replays
-(``subscribe(replay=True)``) re-match one pair at a time with no anchors.
+shards, caches, journals or replays, its deliveries must equal that
+stream, minus only the ``"semantic"`` / ``"ann"`` modes' :class:`AnchorRule`.
 """
 
 from collections import deque
@@ -104,21 +103,23 @@ class Reference:
     def subscribe(self, sub_id, subscription, replay=False):
         self.live[sub_id] = subscription
         for sequence, event in self.ring if replay else ():
-            if (result := self.oracle.match(subscription, event)) is not None:
-                self.stream.append(signature(sub_id, sequence, result))
+            self._deliver(sub_id, subscription, sequence, event)
 
     def unsubscribe(self, sub_id):
         del self.live[sub_id]
 
     def publish(self, event):
         for sub_id, subscription in self.live.items():
-            result = self.oracle.match(subscription, event)
-            if result is not None and (
-                self.anchors is None or self.anchors.admits(subscription, event)
-            ):
-                self.stream.append(signature(sub_id, self.sequence, result))
+            self._deliver(sub_id, subscription, self.sequence, event)
         self.ring.append((self.sequence, event))
         self.sequence += 1
+
+    def _deliver(self, sub_id, subscription, sequence, event):
+        result = self.oracle.match(subscription, event)
+        if result is not None and (
+            self.anchors is None or self.anchors.admits(subscription, event)
+        ):
+            self.stream.append(signature(sub_id, sequence, result))
 
     def of(self, sub_id):
         """One subscriber's expected deliveries, in order."""

@@ -6,8 +6,9 @@ Each :data:`CASES` row names a host — ``ThematicEventEngine.process`` or
 threshold, durability and a callback fault. Two drivers run every row
 against :mod:`tests.oracle`: the tiny workload's approximate
 subscriptions × its first 120 events (with an unsubscribe that makes
-size-balanced shards move subscriptions, a replayed late subscriber, and
-a clean close + reopen when durable), and :class:`OracleMachine`.
+size-balanced shards move subscriptions, three replayed late subscribers
+— two of them filtered by the semantic anchors — and a clean close +
+reopen when durable), and :class:`OracleMachine`.
 Comparisons are exact on every field of a signature: callbacks in global
 order, inboxes per subscriber, and a faulted subscriber's successful
 callbacks plus dead letters. ``ann@0.25`` must deliver an order-keeping
@@ -365,9 +366,9 @@ def test_fixed_workload(env, workload, case, tmp_path):
         for sub_id in LEAVERS:
             host.unsubscribe(sub_id)
             reference.unsubscribe(sub_id)
-        if host.replay:
-            sub_id = host.subscribe(subs[1], callback=True, replay=True)
-            reference.subscribe(sub_id, subs[1], replay=True)
+        for subscription in (subs[1], subs[4], subs[6]) if host.replay else ():
+            sub_id = host.subscribe(subscription, callback=True, replay=True)
+            reference.subscribe(sub_id, subscription, replay=True)
         publish(events[60:])
         assert reference.stream
         assert_agrees(host, reference, subset=case.mode == "ann@0.25")
