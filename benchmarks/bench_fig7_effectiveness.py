@@ -53,10 +53,12 @@ def test_figure7_heatmap(benchmark, workload, baseline, grid, bench_artifact):
     assert fraction >= 0.5, "a majority of cells must beat the baseline"
     assert best.mean_f1 > baseline.f1 + 0.02
 
-    # Single-tag cells are a weak region (Figure 7's bottom-left edge):
-    # the 1-1 cell must not be among the top performers.
-    one_one = grid.cell(1, 1).mean_f1
+    # Few-tag cells are a weak region (Figure 7's bottom-left edge): the
+    # smallest-size cell (1-1 at small and paper scale) must not be among
+    # the top performers.
+    smallest = min(key[0] for key in grid.cells)
+    corner = grid.cell(smallest, smallest).mean_f1
     top_quartile = statistics.quantiles(
         [c.mean_f1 for c in grid.cells.values()], n=4
     )[2]
-    assert one_one <= top_quartile + 1e-9
+    assert corner <= top_quartile + 1e-9

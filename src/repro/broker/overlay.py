@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Callable
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.broker.broker import ThematicBroker
 from repro.broker.config import BrokerConfig
@@ -30,6 +29,9 @@ from repro.core.engine import SubscriptionHandle
 from repro.core.events import Event
 from repro.core.matcher import ThematicMatcher
 from repro.core.subscriptions import Subscription
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["OverlayMetrics", "BrokerOverlay"]
 

@@ -12,7 +12,11 @@ Three consumers share this machinery:
   every recognized span back to a representative term.
 
 Spans are found by greedy longest-match over normalized tokens, so
-multi-word thesaurus terms win over their single-word prefixes.
+multi-word thesaurus terms win over their single-word prefixes. The
+normalized term -> replacements table they are matched against is
+compiled once per ``(thesaurus, domains, include_related)`` and held by
+the :class:`~repro.knowledge.thesaurus.Thesaurus`, so expansion, the
+ground truth and the rewriting baseline all share one copy.
 
 Canonicalization uses an equivalence relation over concepts: two
 concepts merge when one lists a term of the other as *related* (the
@@ -50,22 +54,6 @@ class TermSpan:
     replacements: tuple[str, ...]
 
 
-def _term_table(
-    thesaurus: Thesaurus, domains: Iterable[str] | None, include_related: bool
-) -> dict[str, tuple[str, ...]]:
-    """Normalized term -> replacement terms, over the selected domains."""
-    names = tuple(domains) if domains is not None else thesaurus.domains()
-    table: dict[str, set[str]] = {}
-    for name in names:
-        for concept in thesaurus.micro(name).concepts:
-            ring = concept.expansion_terms() if include_related else concept.terms()
-            normalized_ring = [normalize_term(t) for t in ring]
-            for term in normalized_ring:
-                bucket = table.setdefault(term, set())
-                bucket.update(t for t in normalized_ring if t != term)
-    return {term: tuple(sorted(reps)) for term, reps in table.items()}
-
-
 def find_term_spans(
     text: str,
     thesaurus: Thesaurus,
@@ -78,7 +66,7 @@ def find_term_spans(
     Matches never overlap; scanning is left-to-right and prefers the
     longest term starting at each position.
     """
-    table = _term_table(thesaurus, domains, include_related)
+    table = thesaurus._span_table(domains, include_related)
     tokens = normalize_term(text).split()
     spans: list[TermSpan] = []
     i = 0

@@ -16,8 +16,10 @@ truth). The concrete six-domain dataset lives in
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import threading
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.semantics.tokenize import normalize_term
 
@@ -84,7 +86,10 @@ class Thesaurus:
     """A set of micro-thesauri with normalized-term lookup.
 
     Lookup structures are built once at construction; the thesaurus is
-    immutable afterwards.
+    immutable afterwards. The span table that term rewriting
+    (:mod:`repro.knowledge.rewrite`) scans against is compiled lazily,
+    once per ``(domains, include_related)`` key, and shared read-only by
+    every later reader.
     """
 
     def __init__(self, micro_thesauri: Sequence[MicroThesaurus]):
@@ -98,6 +103,10 @@ class Thesaurus:
                 for term in concept.terms():
                     key = normalize_term(term)
                     self._term_index.setdefault(key, []).append((micro.name, concept))
+        self._span_lock = threading.Lock()
+        self._span_tables: dict[
+            tuple[tuple[str, ...], bool], Mapping[str, tuple[str, ...]]
+        ] = {}
 
     # -- queries -----------------------------------------------------------
 
@@ -141,6 +150,38 @@ class Thesaurus:
                     seen.add(ckey)
                     out.append(candidate)
         return tuple(out)
+
+    def _span_table(
+        self, domains: Iterable[str] | None, include_related: bool
+    ) -> Mapping[str, tuple[str, ...]]:
+        """Normalized term -> sorted replacement terms over ``domains``.
+
+        Compiled on first use per key and memoised; the thesaurus is
+        immutable, so the table never goes stale.
+        """
+        names = tuple(domains) if domains is not None else self.domains()
+        key = (names, include_related)
+        with self._span_lock:
+            table = self._span_tables.get(key)
+            if table is None:
+                table = self._compile_span_table(names, include_related)
+                self._span_tables[key] = table
+        return table
+
+    def _compile_span_table(
+        self, names: tuple[str, ...], include_related: bool
+    ) -> Mapping[str, tuple[str, ...]]:
+        buckets: dict[str, set[str]] = {}
+        for name in names:
+            for concept in self.micro_thesauri[name].concepts:
+                ring = concept.expansion_terms() if include_related else concept.terms()
+                normalized_ring = [normalize_term(t) for t in ring]
+                for term in normalized_ring:
+                    bucket = buckets.setdefault(term, set())
+                    bucket.update(t for t in normalized_ring if t != term)
+        return MappingProxyType(
+            {term: tuple(sorted(reps)) for term, reps in buckets.items()}
+        )
 
     def synonymous(self, term_a: str, term_b: str) -> bool:
         """True if the two terms share a concept's synonym ring."""

@@ -1,5 +1,10 @@
 """Tests for the multi-broker overlay."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import networkx as nx
 import pytest
 
@@ -7,6 +12,8 @@ from repro.broker.overlay import BrokerOverlay
 from repro.core.language import parse_event, parse_subscription
 from repro.core.matcher import ThematicMatcher
 from repro.semantics.measures import ThematicMeasure
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 EVENT = parse_event(
     "({energy, appliances, building},"
@@ -81,3 +88,17 @@ class TestOverlay:
     def test_broker_accessor(self, space):
         overlay = make_overlay(space)
         assert overlay.broker(0).subscriber_count() == 0
+
+
+def test_import_repro_leaves_networkx_unloaded():
+    # networkx is needed only to build an overlay's graph, not to import
+    # the package: every other surface must not pay for loading it.
+    completed = subprocess.run(
+        [sys.executable, "-c", "import sys, repro; print('networkx' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"

@@ -1,13 +1,18 @@
 """Tests for span recognition, rewriting, and canonicalization."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.knowledge.eurovoc import build_eurovoc
 from repro.knowledge.rewrite import (
     Canonicalizer,
     find_term_spans,
     replace_span,
     single_replacements,
 )
+from repro.knowledge.thesaurus import Concept
 from repro.semantics.tokenize import normalize_term
 
 
@@ -44,6 +49,56 @@ class TestFindTermSpans:
         spans = find_term_spans("parking", thesaurus)
         for span in spans:
             assert span.term not in span.replacements
+
+
+class TestSpanTableCompiledOnce:
+    def test_second_call_walks_no_concept(self, monkeypatch):
+        thesaurus = build_eurovoc()
+        first = find_term_spans("energy consumption", thesaurus, ["energy"])
+        walked = []
+        original = Concept.expansion_terms
+
+        def counting(concept):
+            walked.append(concept)
+            return original(concept)
+
+        monkeypatch.setattr(Concept, "expansion_terms", counting)
+        second = find_term_spans("energy consumption", thesaurus, ["energy"])
+        assert second == first
+        assert walked == []
+        assert second[0].replacements is first[0].replacements
+
+    def test_concurrent_first_calls_share_one_table(self):
+        thesaurus = build_eurovoc()
+        barrier = threading.Barrier(4)
+        seen = []
+
+        def first_call():
+            barrier.wait(timeout=10)
+            seen.append(find_term_spans("parking", thesaurus)[0].replacements)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_call) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 4
+        assert all(replacements is seen[0] for replacements in seen)
+
+    def test_each_key_gets_its_own_table(self):
+        thesaurus = build_eurovoc()
+        with_related = find_term_spans("parking", thesaurus)
+        synonyms_only = find_term_spans("parking", thesaurus, include_related=False)
+        assert find_term_spans("parking", thesaurus, domains=["energy"]) == ()
+        assert set(synonyms_only[0].replacements) < set(with_related[0].replacements)
+        # Building the narrower tables left the all-domain one untouched.
+        assert find_term_spans("parking", thesaurus) == with_related
 
 
 class TestReplaceSpan:
