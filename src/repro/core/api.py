@@ -56,12 +56,16 @@ class BatchMatchResult:
     against ``events[j]`` — always populated, and exactly equal to what
     the per-pair ``score`` path returns for that pair (except pairs a
     pipeline's opt-in, lossy semantic anchors pruned, which read 0.0).
+    In the staged pipeline's delivery-gated mode (``deliver_threshold``)
+    it is exact for every pair at or above the threshold, and every pair
+    below it reads 0.0, as a pruned pair does.
 
     ``results[i][j]`` carries the full :class:`MatchResult` when the
     batch ran in full-result mode, and is ``None`` where the engine has
     no result object for the pair: scores-only batches, pairs with no
-    possible mapping, pairs the candidate filter pruned, and non-matches
-    of boolean engines.
+    possible mapping, pairs the candidate filter pruned, non-matches
+    of boolean engines, and pairs below a delivery-gated batch's
+    threshold.
     """
 
     subscriptions: tuple[Subscription, ...]

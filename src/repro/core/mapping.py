@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "Correspondence",
     "Mapping",
     "k_best_assignments",
+    "row_max_bound",
     "single_mapping",
     "top_assignment",
     "top_k_mappings",
@@ -280,6 +282,27 @@ def top_assignment(scores: np.ndarray) -> tuple[tuple[int, ...], float] | None:
         assignment[r] = int(c)
         product *= float(scores[r, c])
     return tuple(assignment), float(product ** (1.0 / n))
+
+
+def row_max_bound(row_maxima: Sequence[float]) -> float:
+    """Upper bound on :func:`top_assignment_score` from row maxima alone.
+
+    ``row_maxima[i]`` is the largest entry of row ``i`` of a matrix with
+    non-negative entries. The best assignment picks one entry per row,
+    each at most its row's maximum, and :func:`top_assignment` multiplies
+    them left to right in row order; this is the same chain over the
+    maxima. Float multiplication rounds monotonically, so every partial
+    product here is at least the solver's, and both take the same
+    ``** (1 / n)``. A caller deciding against a threshold still allows a
+    margin for ``pow``, which is not guaranteed monotone to the last ulp.
+    """
+    n = len(row_maxima)
+    if n == 0:
+        return 0.0
+    product = 1.0
+    for best in row_maxima:
+        product *= float(best)
+    return float(product ** (1.0 / n))
 
 
 def single_mapping(matrix: SimilarityMatrix, assignment: tuple[int, ...]) -> Mapping:

@@ -190,12 +190,13 @@ class ThematicMatcher:
         """Match every subscription against every event, staged.
 
         Runs the :class:`~repro.core.pipeline.StagedBatchPipeline`
-        (candidates → matrix fill → bulk scoring → assignment),
+        (candidates → shared rows → bulk scoring → bound → assignment),
         which deduplicates semantic lookups across the whole batch. The
         score grid is bit-identical to per-pair :meth:`score` calls; see
-        :mod:`repro.core.api` for the contract and the keyword options,
-        and :meth:`StagedBatchPipeline.run` for the delivery-gated
-        ``deliver_threshold`` mode.
+        :mod:`repro.core.api` for the contract and the keyword options.
+        In the delivery-gated ``deliver_threshold`` mode (see
+        :meth:`StagedBatchPipeline.run`) it is bit-identical for every
+        pair at or above the threshold, and pairs below it read 0.0.
         """
         if self._pipeline is None:
             # The shared pipeline reads measure / calibration / k /

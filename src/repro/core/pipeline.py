@@ -21,29 +21,39 @@ points at (and SIENA-style brokers implement for the exact fragment):
    needs at least one event token inside its value's full-space
    neighborhood. That check is **lossy** — thematic projection can raise
    relatedness above its full-space value — which is why it is opt-in.
-2. **Fill** — walk every candidate's (predicate x tuple) cells once,
-   building its similarity matrix from the side-score tables that
-   persist between batches. A lookup the table lacks is not computed on
-   touch: it is queued, deduplicated across the whole batch, and the
-   cell is remembered as pending.
+2. **Rows** — walk the (predicate x tuple) cells once per *shared row*:
+   one row per (distinct predicate, side-score table, event) of a chunk.
+   Equal predicates are one pooled object, so every candidate that
+   holds a predicate reuses its row instead of walking the cells again.
+   Cells come from the side-score tables that persist between batches.
+   A lookup the table lacks is not computed on touch: it is queued,
+   deduplicated across the whole batch, and the cell is remembered as
+   pending.
 3. **Bulk scoring** — ask the semantic measure once per queued lookup
    (one ``score_batch`` call when the measure declares itself
    ``vectorized``; theme projections are shared inside the PVSM), apply
    the matcher's calibration, fill the tables, and recompute the pending
    cells from the now-complete tables.
-4. **Assignment** — solve each candidate's matrix for the best mapping:
-   the :func:`~repro.core.mapping.top_assignment_score` fast path when
-   only scores are needed, full :func:`~repro.core.mapping.top_k_mappings`
+4. **Bound** — delivery-gated only: a candidate's score is at most its
+   rows' maxima chained the way the solver chains the chosen cells
+   (:func:`~repro.core.mapping.row_max_bound`). A candidate whose bound
+   is below the threshold (less a margin for ``pow``) is rejected
+   without a matrix or a solve.
+5. **Assignment** — stack each remaining candidate's rows into its
+   matrix and solve it for the best mapping: the
+   :func:`~repro.core.mapping.top_assignment_score` fast path when only
+   scores are needed, full :func:`~repro.core.mapping.top_k_mappings`
    results for every candidate, or — delivery-gated — results only for
    candidates whose top score clears the threshold.
 
-Every mode and every measure runs these same four stages in this order;
-each stage emits an observability span tagged with the batch size, and
-the scoring stage carries the measured dedup ratio. A batch with more
-candidates than ``_CHUNK`` (an offline grid, never a broker micro-batch)
-runs stages 2-4 once per chunk of candidates, which bounds the matrices
-and pending cells in flight; the tables persist across chunks, so the
-dedup still spans the whole batch.
+Every mode and every measure runs these stages in this order (the
+bound only where a threshold is given); each stage emits an
+observability span tagged with the batch size (the bound runs inside
+``pipeline.assign``), and the scoring stage carries the measured dedup
+ratio. A batch with more candidates than ``_CHUNK`` (an offline grid,
+never a broker micro-batch) runs stages 2-5 once per chunk of
+candidates, which bounds the rows and pending cells in flight; the
+tables persist across chunks, so the dedup still spans the whole batch.
 
 **Parity guarantee.** The batch path reproduces the per-pair path's
 scores bit-for-bit: matrix entries replicate
@@ -53,8 +63,11 @@ operation (identity short-circuits, approximation gating, calibration,
 the *same* measure instance (so memoized measures keep their exact
 semantics; deferring a lookup changes when the measure is asked, never
 what it answers), and assignment scoring reuses the per-pair solver.
-The hypothesis parity suite in ``tests/core/test_pipeline.py`` asserts
-exact equality against the reference per-pair loop. Candidate decisions
+A shared row holds exactly the cells each of its candidates would have
+computed. The hypothesis parity suite in ``tests/core/test_pipeline.py``
+asserts exact equality against the reference per-pair loop; in the
+delivery-gated mode it is exact for every pair at or above the
+threshold, and every pair below it reads 0.0. Candidate decisions
 are per pair too, so a batch keeps exactly the pairs its events keep one
 at a time — semantic anchors included.
 """
@@ -70,6 +83,7 @@ import numpy as np
 from repro.core.api import BatchMatchResult
 from repro.core.events import Event
 from repro.core.mapping import (
+    row_max_bound,
     single_mapping,
     top_assignment,
     top_assignment_score,
@@ -95,7 +109,11 @@ class BatchStats:
 
     ``term_pairs`` counts the approximated-side table lookups the fill
     walked and ``unique_term_pairs`` the ones the tables lacked (each
-    scored once) — the same meaning in every mode.
+    scored once); ``rows`` counts the shared rows the fill computed —
+    the same meaning in every mode. ``bound_rejected`` counts the
+    candidates the delivery-gated mode settled by their row-max bound,
+    without a solve; it is 0 in the other modes. Those candidates were
+    scored, so they are not part of ``pruned``.
     """
 
     subscriptions: int = 0
@@ -107,6 +125,8 @@ class BatchStats:
     pruned_semantic: int = 0
     term_pairs: int = 0
     unique_term_pairs: int = 0
+    rows: int = 0
+    bound_rejected: int = 0
 
     @property
     def pruned(self) -> int:
@@ -121,14 +141,20 @@ class BatchStats:
 
 
 class _CompiledPredicate:
-    """One predicate, pre-normalized for batch matrix construction."""
+    """One predicate, pre-normalized for batch matrix construction.
+
+    Pooled per pipeline under :attr:`key`: equal predicates share one
+    object, and the fill shares its rows by that identity.
+    """
 
     __slots__ = (
-        "predicate", "attribute", "attr_norm", "approx_attribute", "operator",
-        "value", "value_is_str", "value_norm", "approx_value", "exact_key",
+        "key", "predicate", "attribute", "attr_norm", "approx_attribute",
+        "operator", "value", "value_is_str", "value_norm", "approx_value",
+        "exact_key",
     )
 
-    def __init__(self, predicate: Predicate):
+    def __init__(self, predicate: Predicate, key: tuple):
+        self.key = key
         self.predicate = predicate
         self.attribute = predicate.attribute
         self.attr_norm = normalize_term(predicate.attribute)
@@ -162,12 +188,20 @@ class _CompiledSubscription:
     def __init__(
         self,
         subscription: Subscription,
+        pool: dict[tuple, _CompiledPredicate],
         neighborhoods: "ApproxNeighborIndex | None" = None,
     ):
         self.subscription = subscription
-        self.predicates = tuple(
-            _CompiledPredicate(p) for p in subscription.predicates
-        )
+        predicates = []
+        for predicate in subscription.predicates:
+            # 1, 1.0 and True are equal and hash alike; the type keeps
+            # them apart, since the cells read the value itself.
+            key = (predicate, type(predicate.value))
+            compiled = pool.get(key)
+            if compiled is None:
+                compiled = pool[key] = _CompiledPredicate(predicate, key)
+            predicates.append(compiled)
+        self.predicates = tuple(predicates)
         self.arity = len(self.predicates)
         self.exact_anchors = tuple(
             p.exact_key for p in self.predicates if p.exact_key is not None
@@ -259,9 +293,14 @@ _Candidate = tuple[int, int, _CompiledSubscription, _CompiledEvent]
 #: A queued semantic lookup: the table and key it fills, then the
 #: measure's arguments (term, theme, term, theme).
 _Lookup = tuple[dict, tuple[str, str], str, frozenset, str, frozenset]
-#: A cell waiting for a queued lookup: matrix row, column, and what
+#: A cell waiting for a queued lookup: shared row, column, and what
 #: :func:`_cell_score` needs to compute it.
-_PendingCell = tuple[np.ndarray, int, _CompiledPredicate, _CompiledTuple, dict]
+_PendingCell = tuple[list[float], int, _CompiledPredicate, _CompiledTuple, dict]
+
+#: How far below the threshold a row-max bound must fall before its
+#: candidate is rejected unsolved: covers ``pow``'s last-ulp rounding, so
+#: a pair scoring exactly at the threshold is never lost.
+_BOUND_MARGIN = 1e-12
 
 #: Candidates filled, scored and assigned together. Far above any
 #: micro-batch the brokers dispatch (those run as one chunk, one bulk
@@ -276,10 +315,11 @@ class StagedBatchPipeline:
 
     One pipeline belongs to one matcher (its measure, calibration,
     ``min_relatedness`` and ``k`` parametrize every stage). Compiled
-    subscriptions and the side-score table persist across batches, so a
-    long-lived engine pays normalization and semantic scoring once per
-    distinct subscription / term pair. The score tables are bounded by
-    the vocabulary seen; compiled subscriptions are dropped once they
+    subscriptions, the pool of compiled predicates they share and the
+    side-score table persist across batches, so a long-lived engine pays
+    normalization and semantic scoring once per distinct subscription /
+    term pair. The score tables are bounded by the vocabulary seen;
+    compiled subscriptions and their predicates are dropped once they
     stop arriving (see :meth:`_stage_candidates`).
 
     ``neighborhoods`` (an :class:`~repro.semantics.index.ApproxNeighborIndex`)
@@ -303,6 +343,9 @@ class StagedBatchPipeline:
         # keeps its subscription alive, so its id cannot be recycled
         # while the entry exists.
         self._compiled_subs: dict[int, _CompiledSubscription] = {}
+        # (predicate, value type) -> its one compiled form, shared by
+        # every compiled subscription that holds an equal predicate.
+        self._predicates: dict[tuple, _CompiledPredicate] = {}
         # (sub theme key, event theme key) -> {(term_s, term_e): side score}.
         self._tables: dict[
             tuple[tuple[str, ...], tuple[str, ...]], dict[tuple[str, str], float]
@@ -313,7 +356,9 @@ class StagedBatchPipeline:
     def _compile_subscription(self, subscription: Subscription) -> _CompiledSubscription:
         compiled = self._compiled_subs.get(id(subscription))
         if compiled is None or compiled.subscription is not subscription:
-            compiled = _CompiledSubscription(subscription, self.neighborhoods)
+            compiled = _CompiledSubscription(
+                subscription, self._predicates, self.neighborhoods
+            )
             self._compiled_subs[id(subscription)] = compiled
         return compiled
 
@@ -349,13 +394,13 @@ class StagedBatchPipeline:
         applies the exact and semantic anchors regardless.
 
         ``deliver_threshold`` selects the delivery-gated mode used by the
-        micro-batching broker path: every candidate gets its (bit-
-        identical) top assignment score, but full ``MatchResult`` objects
-        — the expensive top-k enumeration — are materialized only for
-        candidates at or above the threshold. Results below it come back
-        as ``None``; callers that only deliver threshold survivors (the
-        engine's dispatch contract) observe exactly the same outcome as
-        the full-result mode. Mutually exclusive with ``scores_only``.
+        engine's dispatch: only pairs at or above the threshold get their
+        (bit-identical) score and their full ``MatchResult``. A pair below
+        it reads score 0.0 and result ``None``, as a pruned pair does —
+        most are settled by their row-max bound without a solve. Callers
+        that only deliver threshold survivors (the engine's dispatch
+        contract) observe exactly the same outcome as the full-result
+        mode. Mutually exclusive with ``scores_only``.
         """
         if deliver_threshold is not None and scores_only:
             raise ValueError("deliver_threshold is incompatible with scores_only")
@@ -387,10 +432,11 @@ class StagedBatchPipeline:
             )
             for start in range(0, len(candidates), _CHUNK):
                 chunk = candidates[start:start + _CHUNK]
-                matrices, missing, pending = self._stage_fill(chunk, stats)
+                rows, layouts, missing, pending = self._stage_fill(chunk, stats)
                 self._stage_score(missing, pending, stats)
                 self._stage_assign(
-                    chunk, matrices, scores, results, deliver_threshold, stats
+                    chunk, rows, layouts, scores, results, deliver_threshold,
+                    stats,
                 )
 
         return BatchMatchResult(
@@ -420,9 +466,13 @@ class StagedBatchPipeline:
                 # ones only, so a retired subscription is not pinned for
                 # the pipeline's lifetime. A rebuild drops more entries
                 # than it keeps, so the compilations that inserted them
-                # have already paid for it.
+                # have already paid for it. The predicate pool goes with
+                # it: only predicates the kept subscriptions hold.
                 self._compiled_subs = {
                     id(c.subscription): c for c in compiled_subs
+                }
+                self._predicates = {
+                    p.key: p for c in compiled_subs for p in c.predicates
                 }
             anchored = self.neighborhoods is not None
             prune_zero = prune_zero or anchored
@@ -450,41 +500,58 @@ class StagedBatchPipeline:
             stats.candidates = len(candidates)
         return candidates
 
-    # -- stage 2: matrix fill over the side-score tables -------------------
+    # -- stage 2: shared rows over the side-score tables -------------------
 
     def _stage_fill(
         self, candidates: list[_Candidate], stats: BatchStats
-    ) -> tuple[list[np.ndarray], list[_Lookup], list[_PendingCell]]:
-        """Every candidate's similarity matrix, built in one cell walk.
+    ) -> tuple[
+        list[list[float]], list[tuple[int, ...]], list[_Lookup], list[_PendingCell]
+    ]:
+        """Every candidate's similarity rows, each shared row walked once.
 
-        Mirrors :func:`~repro.core.similarity.predicate_tuple_score`
-        exactly — same short-circuits, same clamping order, same float
-        operations — with every semantic lookup served by the pair's
-        side-score table. A lookup the table lacks is queued once per
-        (table, term pair) for :meth:`_stage_score` and its cell left
-        pending; when the attribute side is the one missing, the walk
-        still visits the value side so its lookup joins the same bulk
-        call instead of waiting for a second round.
+        A row is keyed by (pooled predicate, side-score table, event):
+        its cells depend on nothing else, so every candidate holding an
+        equal predicate against the same event and theme pair reuses it.
+        The cell walk mirrors
+        :func:`~repro.core.similarity.predicate_tuple_score` exactly —
+        same short-circuits, same clamping order, same float operations —
+        with every semantic lookup served by the pair's side-score table.
+        A lookup the table lacks is queued once per (table, term pair)
+        for :meth:`_stage_score` and its cell left pending; when the
+        attribute side is the one missing, the walk still visits the
+        value side so its lookup joins the same bulk call instead of
+        waiting for a second round.
 
-        Returns the matrices (aligned with ``candidates``), the queued
-        lookups in first-touch order, and the pending cells.
+        Returns the shared rows, each candidate's row indices (aligned
+        with ``candidates``, in predicate order), the queued lookups in
+        first-touch order, and the pending cells. The rows live only as
+        long as the chunk.
         """
         min_relatedness = self.matcher.min_relatedness
-        matrices: list[np.ndarray] = []
+        rows: list[list[float]] = []
+        row_index: dict[tuple[_CompiledPredicate, int, int], int] = {}
+        layouts: list[tuple[int, ...]] = []
         # Insertion-ordered and keyed per table, so a lookup shared by
         # many cells of the batch is queued (and scored) once.
         missing: dict[tuple[int, tuple[str, str]], _Lookup] = {}
         pending: list[_PendingCell] = []
         lookups = 0
         with TRACER.span("pipeline.fill", batch=stats.pairs,
-                         candidates=len(candidates), **self._span_tags):
-            for _i, _j, sub, event in candidates:
+                         candidates=len(candidates), **self._span_tags) as span:
+            for _i, event_index, sub, event in candidates:
                 table = self._table_for(sub, event)
                 table_id = id(table)
-                matrix = np.zeros((sub.arity, event.size))
-                matrices.append(matrix)
-                for i, p in enumerate(sub.predicates):
-                    row = matrix[i]
+                layout = []
+                for p in sub.predicates:
+                    row_key = (p, table_id, event_index)
+                    shared = row_index.get(row_key)
+                    if shared is not None:
+                        layout.append(shared)
+                        continue
+                    row_index[row_key] = len(rows)
+                    layout.append(len(rows))
+                    row = [0.0] * event.size
+                    rows.append(row)
                     for j, t in enumerate(event.tuples):
                         # Attribute side (two strings, always).
                         if p.attr_norm == t.attr_norm:
@@ -535,9 +602,12 @@ class StagedBatchPipeline:
                         if value_sim < min_relatedness:
                             continue
                         row[j] = attr_sim * value_sim
+                layouts.append(tuple(layout))
             stats.term_pairs += lookups
             stats.unique_term_pairs += len(missing)
-        return matrices, list(missing.values()), pending
+            stats.rows += len(rows)
+            span.tag(rows=len(rows))
+        return rows, layouts, list(missing.values()), pending
 
     # -- stage 3: bulk relatedness scoring ---------------------------------
 
@@ -591,12 +661,13 @@ class StagedBatchPipeline:
             for row, j, p, t, table in pending:
                 row[j] = _cell_score(p, t, table, min_relatedness)
 
-    # -- stage 4: k-best assignment, gated on what the caller consumes -----
+    # -- stages 4-5: row-max bound, then k-best assignment ----------------
 
     def _stage_assign(
         self,
         candidates: list[_Candidate],
-        matrices: list[np.ndarray],
+        rows: list[list[float]],
+        layouts: list[tuple[int, ...]],
         scores: list[list[float]],
         results: list[list[MatchResult | None]] | None,
         threshold: float | None,
@@ -605,11 +676,15 @@ class StagedBatchPipeline:
         """Solve every candidate matrix; materialize what the mode asks for.
 
         Scores-only (``results is None``): the top assignment score and
-        nothing else. With a ``threshold`` (delivery-gated): every
-        candidate gets the cheap top assignment score (bit-identical to
-        the full path's top-1 score) and the expensive mapping
-        materialization runs only for candidates that clear it. In top-1
-        mode (``k == 1``) the gate's own solve is reused —
+        nothing else. With a ``threshold`` (delivery-gated): a candidate
+        whose :func:`~repro.core.mapping.row_max_bound` is below the
+        threshold (less ``_BOUND_MARGIN``) is rejected without building
+        its matrix; the rest get the cheap top assignment score
+        (bit-identical to the full path's top-1 score) and the expensive
+        mapping materialization runs only for those that clear it. Every
+        pair below the threshold, rejected or solved, keeps score 0.0 and
+        no result. In top-1 mode (``k == 1``) the gate's own solve is
+        reused —
         :func:`~repro.core.mapping.single_mapping` rebuilds the full
         path's mapping object from the gate's assignment with the same
         arithmetic, so survivors cost one solver call instead of two.
@@ -618,16 +693,26 @@ class StagedBatchPipeline:
         same matrix, same solver, same arithmetic in every mode.
         """
         k = self.matcher.k
+        rejected = 0
         with TRACER.span(
             "pipeline.assign",
             batch=stats.pairs,
             candidates=len(candidates),
             threshold=threshold,
             **self._span_tags,
-        ):
-            for (i, j, sub, event), matrix in zip(
-                candidates, matrices, strict=True
+        ) as span:
+            if threshold is not None:
+                floor = threshold - _BOUND_MARGIN
+                maxima = [max(row) for row in rows]
+            for (i, j, sub, event), layout in zip(
+                candidates, layouts, strict=True
             ):
+                if threshold is not None and row_max_bound(
+                    [maxima[r] for r in layout]
+                ) < floor:
+                    rejected += 1
+                    continue
+                matrix = np.array([rows[r] for r in layout], dtype=np.float64)
                 if results is None:
                     scores[i][j] = top_assignment_score(matrix)
                     continue
@@ -641,7 +726,6 @@ class StagedBatchPipeline:
                     else:
                         top = top_assignment_score(matrix)
                     if top < threshold:
-                        scores[i][j] = top
                         continue
                 wrapped = SimilarityMatrix(
                     subscription=sub.subscription,
@@ -663,3 +747,5 @@ class StagedBatchPipeline:
                 )
                 results[i][j] = result
                 scores[i][j] = result.score
+            stats.bound_rejected += rejected
+            span.tag(bound_rejected=rejected)

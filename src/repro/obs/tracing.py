@@ -80,6 +80,9 @@ class _NoopSpan:
     def __exit__(self, *exc_info: object) -> bool:
         return False
 
+    def tag(self, **attributes: object) -> None:
+        pass
+
 
 _NOOP_SPAN = _NoopSpan()
 
@@ -173,6 +176,10 @@ class _Span:
             local.ctx = self.ctx
         self.start = tracer.clock.monotonic()
         return self
+
+    def tag(self, **attributes: Any) -> None:
+        """Add attributes that are known only once the span's work is done."""
+        self.attributes.update(attributes)
 
     def __exit__(self, *exc_info: object) -> bool:
         tracer = self.tracer

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.events import Event
-from repro.core.mapping import k_best_assignments, top_k_mappings
+from repro.core.mapping import (
+    k_best_assignments,
+    row_max_bound,
+    top_assignment_score,
+    top_k_mappings,
+)
 from repro.core.similarity import build_similarity_matrix
 from repro.core.subscriptions import Subscription
 
@@ -144,3 +149,35 @@ class TestTopKMappings:
         event = Event.create(payload={"a": "x"})
         matrix = build_similarity_matrix(sub, event, FixedMeasure(0.5))
         assert top_k_mappings(matrix, 3) == []
+
+
+# Cells that stress the bound: zeros (the assignment may be forced
+# through one), exact repeats, and the broker threshold 0.5 itself,
+# mixed with arbitrary floats in [0, 1].
+bound_cells = st.one_of(
+    st.sampled_from((0.0, 0.5, 0.25, 1.0)),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+bound_matrices = st.integers(1, 8).flatmap(
+    lambda n: st.integers(n, 8).flatmap(
+        lambda m: st.lists(
+            st.lists(bound_cells, min_size=m, max_size=m),
+            min_size=n, max_size=n,
+        ).map(lambda rows: np.array(rows, dtype=np.float64))
+    )
+)
+
+
+class TestRowMaxBound:
+    @settings(max_examples=300, deadline=None)
+    @given(scores=bound_matrices)
+    def test_bounds_the_top_assignment_score(self, scores):
+        maxima = [float(best) for best in scores.max(axis=1)]
+        assert top_assignment_score(scores) <= row_max_bound(maxima)
+
+    def test_equals_the_score_when_the_maxima_are_assignable(self):
+        scores = np.array([[0.5, 0.25, 0.0], [0.25, 0.5, 0.5]])
+        assert row_max_bound([0.5, 0.5]) == top_assignment_score(scores) == 0.5
+
+    def test_no_rows_is_zero(self):
+        assert row_max_bound([]) == 0.0

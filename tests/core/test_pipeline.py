@@ -2,6 +2,8 @@
 engine-side dispatch behaviour (snapshot caching, prefilter, registry
 stats) the pipeline feeds."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from repro.core.events import Event
 from repro.core.language import parse_event, parse_subscription
 from repro.core.matcher import ThematicMatcher
 from repro.core.subscriptions import Predicate, Subscription
-from repro.obs import MetricsRegistry
+from repro.obs import TRACER, MetricsRegistry
 from repro.semantics.cache import RelatednessCache
 from repro.semantics.measures import CachedMeasure, ThematicMeasure
 
@@ -159,12 +161,13 @@ def _fresh_matcher(space, k: int = 1, threshold: float = 0.5) -> ThematicMatcher
     threshold=st.sampled_from((0.0, 0.5)),
 )
 def test_delivery_gated_batch_parity(space, workload, k, threshold):
-    """Delivery-gated mode: full scores, results only for survivors.
+    """Delivery-gated mode: scores and results only for survivors.
 
-    A survivor's result must be bit-identical to the full-mode result —
-    same score, same chosen assignment, same probability mass, same
-    alternatives — even though the gated path solves the assignment once
-    per pair (and, for k=1, reuses the gate's own solve).
+    A survivor's score and result must be bit-identical to the full-mode
+    ones — same score, same chosen assignment, same probability mass,
+    same alternatives — even though the gated path solves the assignment
+    once per pair (and, for k=1, reuses the gate's own solve) and skips
+    the solve for pairs its row-max bound rejects.
     """
     subs, evts = workload
     full = _fresh_matcher(space, k, threshold).match_batch(subs, evts)
@@ -175,7 +178,8 @@ def test_delivery_gated_batch_parity(space, workload, k, threshold):
 
 
 def _assert_gated_parity(full, gated, subs, evts, threshold):
-    assert gated.scores == full.scores
+    """Bit-exact on every deliverable pair; every other pair of the gated
+    batch reads score 0.0 and no result, as a pruned pair does."""
     for i in range(len(subs)):
         for j in range(len(evts)):
             full_result = full.result(i, j)
@@ -184,7 +188,10 @@ def _assert_gated_parity(full, gated, subs, evts, threshold):
                 threshold
             )
             assert (gated_result is not None) == deliverable
+            if not deliverable:
+                assert gated.scores[i][j] == 0.0
             if gated_result is not None:
+                assert gated.scores[i][j] == full.scores[i][j]
                 assert gated_result.score == full_result.score
                 assert (
                     gated_result.mapping.assignment()
@@ -304,7 +311,71 @@ class TestPipelineStats:
         assert (gated.pruned_arity, gated.pruned_anchor) == (
             full.pruned_arity, full.pruned_anchor
         )
+        assert gated.rows == full.rows > 0
         assert cold(scores_only=True) == full
+
+    def test_bound_rejects_only_in_gated_mode(self, space):
+        """Every candidate here scores below 0.5: the gated batch settles
+        them by their row-max bound, unsolved and outside ``pruned``;
+        the full and scores-only batches solve them all."""
+        subs = [
+            parse_subscription("({transport}, {vehicle~= bus~})"),
+            parse_subscription("({transport}, {vehicle~= bus~, sensor~= ozone~})"),
+        ]
+        evts = [
+            parse_event("({transport}, {vehicle: traffic})"),
+            parse_event("({transport}, {vehicle: traffic, speed: 3})"),
+        ]
+
+        def cold(**mode):
+            engine = ThematicMatcher(ThematicMeasure(space))
+            return engine.match_batch(subs, evts, prune_zero=True, **mode)
+
+        full = cold()
+        assert 0.0 < max(max(row) for row in full.scores) < 0.5
+        assert full.stats.bound_rejected == 0
+        assert cold(scores_only=True).stats.bound_rejected == 0
+        gated = cold(deliver_threshold=0.5).stats
+        assert gated.bound_rejected == gated.candidates > 0
+        assert gated.pruned == full.stats.pruned
+
+    def test_stage_spans_carry_rows_and_bound_rejects(self, space, tmp_path):
+        sink = tmp_path / "trace.jsonl"
+        TRACER.enable(registry=MetricsRegistry(), sink=str(sink))
+        try:
+            batch = ThematicMatcher(ThematicMeasure(space)).match_batch(
+                [parse_subscription("({transport}, {vehicle~= bus~})")],
+                [parse_event("({transport}, {vehicle: traffic})")],
+                deliver_threshold=0.5,
+            )
+        finally:
+            TRACER.disable()
+        spans = {
+            record["span"]: record.get("attributes", {})
+            for record in map(json.loads, sink.read_text().splitlines())
+        }
+        assert spans["pipeline.fill"]["rows"] == batch.stats.rows == 1
+        assert (
+            spans["pipeline.assign"]["bound_rejected"]
+            == batch.stats.bound_rejected
+            == 1
+        )
+
+    def test_equal_predicates_share_one_row(self, space):
+        """A row is one (distinct predicate, theme pair, event): equal
+        predicates of different subscriptions share it, another theme
+        pair gets its own."""
+        subs = [
+            parse_subscription("({transport}, {vehicle~= bus~})"),
+            parse_subscription("({transport}, {vehicle~= bus~, sensor~= ozone~})"),
+            parse_subscription("({environment}, {vehicle~= bus~})"),
+        ]
+        evts = [parse_event("({transport}, {vehicle: traffic, sensor: smog})")]
+        engine = ThematicMatcher(ThematicMeasure(space))
+        batch = engine.match_batch(subs, evts)
+        assert batch.stats.candidates == 3
+        assert batch.stats.rows == 3  # vehicle x2 themes, sensor once
+        assert batch.scores == pairwise_match_batch(engine, subs, evts).scores
 
     def test_score_table_persists_across_batches(self, space):
         sub = parse_subscription("({transport}, {vehicle~= bus~})")
@@ -315,6 +386,51 @@ class TestPipelineStats:
         assert first.stats.unique_term_pairs > 0
         assert again.stats.unique_term_pairs == 0  # all lookups table hits
         assert again.scores == first.scores
+
+
+class TestCompiledState:
+    def test_equal_predicates_compile_once(self, space):
+        pipeline = ThematicMatcher(ThematicMeasure(space)).new_pipeline()
+        one = pipeline._compile_subscription(
+            parse_subscription("({transport}, {vehicle~= bus~, speed> 1})")
+        )
+        two = pipeline._compile_subscription(
+            parse_subscription("({energy}, {vehicle~= bus~})")
+        )
+        assert one.predicates[0] is two.predicates[0]
+        # 1 == 1.0 (and they hash alike), but they stay two predicates.
+        integral = Subscription(
+            theme=frozenset(), predicates=(Predicate("speed", 1, operator=">"),)
+        )
+        real = Subscription(
+            theme=frozenset(), predicates=(Predicate("speed", 1.0, operator=">"),)
+        )
+        assert (
+            pipeline._compile_subscription(integral).predicates[0]
+            is not pipeline._compile_subscription(real).predicates[0]
+        )
+
+    def test_compiled_state_stays_bounded_under_churn(self, space):
+        """Subscriptions come and go through one pipeline: neither the
+        compiled subscriptions nor their predicate pool pins what has
+        been unsubscribed beyond twice the live set."""
+        pipeline = ThematicMatcher(ThematicMeasure(space)).new_pipeline()
+        event = parse_event("({transport}, {vehicle: traffic, speed: 3})")
+        shared = Predicate(
+            "vehicle", "bus", approx_attribute=True, approx_value=True
+        )
+        live: list[Subscription] = []
+        for n in range(60):
+            live.append(Subscription(
+                theme=frozenset({"transport"}),
+                predicates=(shared, Predicate("speed", n, operator=">")),
+            ))
+            if len(live) > 4:
+                live.pop(0)
+            pipeline.run(live, [event], deliver_threshold=0.5)
+            distinct = {p for sub in live for p in sub.predicates}
+            assert len(pipeline._compiled_subs) <= 2 * len(live)
+            assert len(pipeline._predicates) <= 2 * len(distinct)
 
 
 class _CountingMeasure:
@@ -394,8 +510,15 @@ class TestScoringSchedule:
         assert warm.scores == cold.scores
         reference = pairwise_match_batch(
             ThematicMatcher(ThematicMeasure(space)), self.SUBS, evts
-        )
-        assert cold.scores == reference.scores
+        ).scores
+        threshold = mode.get("deliver_threshold")
+        if threshold is not None:
+            # Gated: exact at or above the threshold, 0.0 below it.
+            reference = [
+                [score if score >= threshold else 0.0 for score in row]
+                for row in reference
+            ]
+        assert cold.scores == reference
 
 
     def test_chunked_batch_equals_unchunked(
@@ -423,6 +546,28 @@ class TestScoringSchedule:
                     assert (ours is None) == (ref is None)
                     if ours is not None:
                         assert ours.mapping == ref.mapping
+
+
+class _HalfMeasure:
+    """Every semantic lookup scores exactly 0.5."""
+
+    def score(self, term_s, theme_s, term_e, theme_e):
+        return 0.5
+
+
+def test_pair_scoring_exactly_the_threshold_is_delivered():
+    """Two cells of exactly 0.5 give a score of exactly 0.5 (and a
+    row-max bound of exactly 0.5): the bound must not reject it."""
+    matcher = ThematicMatcher(_HalfMeasure(), calibration=None, threshold=0.5)
+    engine = ThematicEventEngine(matcher)
+    engine.subscribe(
+        parse_subscription("({transport}, {vehicle= bus~, sensor= ozone~})"),
+        lambda result: None,
+    )
+    delivered = engine.process(
+        parse_event("({transport}, {vehicle: traffic, sensor: smog})")
+    )
+    assert [result.score for result in delivered] == [0.5]
 
 
 class TestEngineDispatch:

@@ -70,6 +70,17 @@ class TestEnabledMode:
         assert "parent" not in records[1]
         assert all(r["duration_ms"] >= 0.0 for r in records)
 
+    def test_tag_adds_attributes_known_at_the_end(self, tracer, tmp_path):
+        sink = tmp_path / "trace.jsonl"
+        tracer.enable(registry=MetricsRegistry(), sink=str(sink))
+        with tracer.span("stage", batch=2) as span:
+            span.tag(done=5)
+        tracer.disable()
+        with tracer.span("stage") as span:
+            span.tag(done=6)  # the shared no-op span takes tags too
+        (record,) = [json.loads(line) for line in sink.read_text().splitlines()]
+        assert record["attributes"] == {"batch": 2, "done": 5}
+
     def test_file_sink_appends(self, tracer, tmp_path):
         sink = tmp_path / "trace.jsonl"
         tracer.enable(registry=MetricsRegistry(), sink=str(sink))
