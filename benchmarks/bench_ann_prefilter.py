@@ -11,12 +11,13 @@ sublinear matching tier on the fig9 workload.
   setting was not exact would be a correctness bug, not a slow bench.
 * A ``repro warm-cache`` score store moves the semantic computation
   offline: a cold engine backed by the warmed store must beat the same
-  cold engine computing through the kernel by >= 2x, and every timed
-  run re-checks full delivery parity (subscription, event, score) —
-  a speedup that changed one delivery would fail the run, not report
-  a number.
+  cold engine scoring online with the scalar thematic measure (the one
+  the store was warmed with), and every timed run re-checks full
+  delivery parity (subscription, event, score) — a speedup that changed
+  one delivery would fail the run, not report a number.
 """
 
+import dataclasses
 import os
 import random
 import tempfile
@@ -47,7 +48,7 @@ def theme_varied_events(workload, combination, budget):
     Every event samples its own theme set from the subscription tags
     (containment holds, like the grid harness), so consecutive events
     keep presenting *new* (subscription-theme, event-theme) pairs — the
-    regime where the online kernel pays fresh projections per event and
+    regime where the online measure pays fresh projections per event and
     the side-score dedup tables cannot amortize them away. That
     recurring cost is exactly what the offline warm tier removes.
     """
@@ -128,14 +129,16 @@ def bench_recall_curve(matcher_factory, subscriptions, events):
 
 
 def bench_warm_tier(workload, subscriptions, events, combination):
-    """Cold kernel engine vs the same engine over a warmed score store.
+    """Cold scalar engine vs the same engine over a warmed score store.
 
-    The store is built on a *separate* space over the same corpus so
-    warming it cannot pre-populate the projection caches the unwarmed
-    engine is about to pay for — that cost is exactly what the offline
-    tier claims to remove. Lookups are planned per event (its terms
-    against the subscription vocabulary under its own theme pair), the
-    tight version of the warmer's full vocabulary cross-product.
+    The store is built on a *separate* space over the same corpus, and
+    the engines match over a third, fresh one, so neither warming the
+    store nor the recall curve's passes over the workload's shared space
+    can pre-populate the projection caches the unwarmed engine is about
+    to pay for — that cost is exactly what the offline tier claims to
+    remove. Lookups are planned per event (its terms against the
+    subscription vocabulary under its own theme pair), the tight version
+    of the warmer's full vocabulary cross-product.
     """
     warm_space = ParametricVectorSpace(workload.corpus)
     subscription_theme = tuple(sorted(combination.subscription_tags))
@@ -150,7 +153,10 @@ def bench_warm_tier(workload, subscriptions, events, combination):
     store = PersistentScoreStore.build(
         table.scores, corpus_digest=corpus_digest(warm_space.documents)
     )
-    matcher_factory = thematic_matcher_factory(workload, vectorized=True)
+    cold = dataclasses.replace(
+        workload, space=ParametricVectorSpace(workload.corpus)
+    )
+    matcher_factory = thematic_matcher_factory(cold)
     with tempfile.TemporaryDirectory(prefix="repro-bench-warm-") as directory:
         path = Path(directory) / "scores.bin"
         save_score_store(store, path)
@@ -233,8 +239,8 @@ def test_ann_prefilter(benchmark, workload, bench_artifact):
                     for point in points
                 ],
                 (
-                    "warmed store vs cold kernel",
-                    ">= 2x, identical deliveries",
+                    "warmed store vs cold scalar measure",
+                    "> 1.2x, identical deliveries",
                     f"{warm['speedup']:.2f}x "
                     f"({warm['warmed_events_per_second']:.0f} vs "
                     f"{warm['unwarmed_events_per_second']:.0f} ev/s)",
@@ -254,10 +260,9 @@ def test_ann_prefilter(benchmark, workload, bench_artifact):
     # Recall is monotone in the knob (probed bands are a prefix).
     recalls = [point["measured_recall"] for point in points]
     assert recalls == sorted(recalls), f"recall not monotone: {recalls}"
-    # Parity is asserted inside the timed run; here we gate the margin.
-    # The committed baseline demonstrates the full >= 2x on a quiet
-    # machine; in CI (noisy shared runners) we assert a real win, not
-    # the full margin.
+    # Parity is asserted inside the timed run; here we gate the margin:
+    # on noisy shared runners a real win, not the full margin a quiet
+    # machine shows.
     assert warm["parity"] is True
     assert warm["speedup"] > 1.2, (
         f"warmed store barely helps: {warm['speedup']:.2f}x"

@@ -1,10 +1,10 @@
 """RL800/RL801/RL802: deterministic teardown on every CFG path.
 
-The executors this repo grew in PRs 6–9 all own heavyweight resources:
-spawn-pool workers attached to a ``np.memmap`` snapshot, dispatcher
-threads, temp files holding the columnar space, registration locks. A
-leak is not just untidy — a worker that outlives its executor keeps the
-snapshot file pinned, an unjoined thread races test teardown, and a
+The executors this repo grew all own heavyweight resources: shard and
+dispatcher threads, ``np.memmap`` views of a score-store snapshot,
+write-ahead journal files, registration locks. A leak is not just
+untidy — a mapped view that outlives its owner keeps the snapshot file
+pinned, an unjoined thread races test teardown, and a
 lock with no exception-safe release converts the first error into a
 deadlock. These rules check the *paths*, not the happy line: the CFG's
 exception edges are exactly the paths the unit tests don't walk.

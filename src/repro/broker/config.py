@@ -79,7 +79,7 @@ class BrokerConfig:
     score_store_path:
         Optional path to a ``repro warm-cache`` score-store snapshot;
         when set, each embedded engine consults the precomputed tier
-        before the online cache and the kernel.
+        after its online memo and before the matcher's own measure.
     warm_on_start:
         Materialize the score store into RAM at construction instead of
         paging it in lazily (requires ``score_store_path``).

@@ -241,14 +241,13 @@ def cmd_warm_cache(args: argparse.Namespace) -> int:
 
     Samples the same containment theme combination ``evaluate`` would
     for the given seed, scores the workload vocabulary cross-product
-    offline (optionally sharded over spawned workers), writes the store
+    offline with the scalar thematic measure, writes the store
     snapshot, and always reload-verifies it — the written file is
     re-attached, digest-checked, and sampled entries compared
     bit-for-bit against the in-memory table before the command reports
     success.
     """
     from repro.obs.clock import MONOTONIC_CLOCK
-    from repro.semantics.kernel import PARITY_TOLERANCE, KernelMeasure
     from repro.semantics.persistence import load_score_store, save_score_store
     from repro.semantics.warm import (
         build_score_store,
@@ -283,17 +282,12 @@ def cmd_warm_cache(args: argparse.Namespace) -> int:
     )
     started = MONOTONIC_CLOCK.monotonic()
     store = build_score_store(
-        workload.space,
-        subscriptions,
-        events,
-        theme_pairs,
-        workers=args.workers,
+        workload.space, subscriptions, events, theme_pairs
     )
     elapsed = MONOTONIC_CLOCK.monotonic() - started
     save_score_store(store, args.out)
-    shards = f"{args.workers} worker(s)" if args.workers else "in-process"
     print(
-        f"warmed {len(store)} entries in {elapsed:.2f}s ({shards}); "
+        f"warmed {len(store)} entries in {elapsed:.2f}s; "
         f"wrote {args.out} ({os.path.getsize(args.out)} bytes)"
     )
     # Reload-verify, unconditionally: attach what was just written and
@@ -321,24 +315,25 @@ def cmd_warm_cache(args: argparse.Namespace) -> int:
             return 1
     print(f"reload-verify ok ({len(sample)} sampled entries bit-identical)")
     if args.check_parity:
-        online = KernelMeasure(workload.space.kernel())
+        online = ThematicMeasure(workload.space)
         checks = rng.sample(lookups, min(len(lookups), args.check_parity))
-        worst = max(
-            abs(on_disk - online.score(*lookup))
+        mismatches = [
+            lookup
             for lookup, on_disk in zip(
                 checks,
                 loaded.probe([cache_key(*lookup) for lookup in checks]),
                 strict=True,
             )
-        )
+            if on_disk != online.score(*lookup)
+        ]
         print(
-            f"parity vs online kernel over {len(checks)} samples: "
-            f"worst |delta| = {worst:.2e}"
+            f"parity vs online scalar measure over {len(checks)} samples: "
+            f"{len(mismatches)} mismatch(es)"
         )
-        if worst > PARITY_TOLERANCE:
+        if mismatches:
             print(
-                f"parity check FAILED: {worst:.2e} exceeds "
-                f"{PARITY_TOLERANCE:.0e}",
+                f"parity check FAILED: {mismatches[0]!r} differs from the "
+                "online score",
                 file=sys.stderr,
             )
             return 1
@@ -761,14 +756,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_warm.add_argument("--event-tags", type=int, default=4)
     p_warm.add_argument("--subscription-tags", type=int, default=12)
     p_warm.add_argument("--seed", type=int, default=99)
-    p_warm.add_argument("--workers", type=int, default=0,
-                        help="shard scoring over this many spawned worker "
-                             "processes (0 = in-process; results are "
-                             "bit-identical either way)")
     p_warm.add_argument("--check-parity", type=int, default=0, metavar="N",
                         help="after the reload-verify, compare N sampled "
-                             "store entries against the online kernel and "
-                             "exit 1 beyond the documented tolerance")
+                             "store entries against the online scalar "
+                             "measure and exit 1 on any inexact entry")
     p_warm.set_defaults(func=cmd_warm_cache)
 
     p_stats = sub.add_parser(

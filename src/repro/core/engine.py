@@ -398,7 +398,7 @@ class ThematicEventEngine:
         caller's knobs whose measure is
         ``CachedMeasure(matcher.measure, RelatednessCache(backing=store))``
         — the same wrapper any caller would use: memo, then store, then
-        the original measure (cache and kernel unchanged), for both
+        the original measure (left unchanged), for both
         per-lookup and bulk scoring. The caller's matcher is left as it
         was. The snapshot's corpus digest is checked against the
         matcher's space whenever one is reachable, so a store warmed

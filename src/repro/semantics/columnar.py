@@ -18,10 +18,8 @@ as a term-by-document CSR matrix:
   weights (same augmented-tf expression, same ``math.log`` idf);
 * ``max_frequency`` (int32, ``|D|``) — the Equation 2 denominators.
 
-The arrays are plain numpy buffers, so the whole structure can be
-written to disk once and attached zero-copy by worker processes via
-``np.memmap`` (see :mod:`repro.semantics.persistence`) — construction
-from existing buffers never copies.
+The arrays are plain numpy buffers; construction from existing buffers
+never copies.
 """
 
 from __future__ import annotations
@@ -150,13 +148,3 @@ class ColumnarIndex:
             self.freqs[lo:hi],
             self.tfidf[lo:hi],
         )
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """The five backing arrays, keyed by their on-disk names."""
-        return {
-            "indptr": self.indptr,
-            "doc_ids": self.doc_ids,
-            "freqs": self.freqs,
-            "tfidf": self.tfidf,
-            "max_frequency": self.max_frequency,
-        }

@@ -75,28 +75,10 @@ class NonThematicMeasure:
 
     Identical strings short-circuit to 1.0 so exact hits always dominate
     merely-related terms regardless of the distance floor.
-
-    ``vectorized=True`` routes scoring (single and batched) through the
-    space's numpy kernel instead of the scalar ``SparseVector`` path —
-    same semantics, documented float tolerance (see
-    :mod:`repro.semantics.kernel`).
     """
 
-    def __init__(
-        self, space: DistributionalVectorSpace, *, vectorized: bool = False
-    ) -> None:
+    def __init__(self, space: DistributionalVectorSpace) -> None:
         self.space = space
-        self.vectorized = vectorized
-        self._kernel_measure: KernelMeasure | None = None
-
-    def _kernel(self) -> KernelMeasure:
-        if self._kernel_measure is None:
-            from repro.semantics.kernel import KernelMeasure
-
-            self._kernel_measure = KernelMeasure(
-                self.space.kernel(), thematic=False
-            )
-        return self._kernel_measure
 
     def score(
         self,
@@ -107,19 +89,7 @@ class NonThematicMeasure:
     ) -> float:
         if normalize_term(term_s) == normalize_term(term_e):
             return 1.0
-        if self.vectorized:
-            return self._kernel().score(term_s, theme_s, term_e, theme_e)
         return self.space.relatedness(term_s, term_e)
-
-    def score_batch(
-        self,
-        lookups: Iterable[tuple[str, Iterable[str], str, Iterable[str]]],
-    ) -> list[float]:
-        """Batched :meth:`score`; one kernel call when vectorized."""
-        lookups = list(lookups)
-        if self.vectorized:
-            return self._kernel().score_batch(lookups)
-        return [self.score(*lookup) for lookup in lookups]
 
 
 class ThematicMeasure:

@@ -9,18 +9,14 @@ Only the corpus is persisted in the JSON snapshot — spaces rebuild their
 indexes deterministically from it, and caches re-warm on use. That keeps
 the format trivial to inspect and independent of internal cache layouts.
 
-A second, binary format family serves zero-copy attach: named numpy
-arrays written as one versioned file whose payloads map back via
-read-only ``np.memmap`` — consumers share the page cache instead of
-materializing copies. Two snapshot kinds use it, each with its own
-magic and version: the columnar CSR arrays of a built space
-(:mod:`repro.semantics.columnar`, attached by ``repro warm-cache``
-workers)
-and the persistent precomputed-score store
+A second, binary format serves zero-copy attach: named numpy arrays
+written as one versioned file whose payloads map back via read-only
+``np.memmap`` — consumers share the page cache instead of materializing
+copies. The persistent precomputed-score store
 (:class:`~repro.semantics.cache.PersistentScoreStore`, produced by
-``repro warm-cache``). Shared layout::
+``repro warm-cache``) is written in it. Layout::
 
-    bytes 0..7    magic  (b"REPROCOL" columnar / b"REPROSCT" score store)
+    bytes 0..7    magic  (b"REPROSCT")
     bytes 8..9    format version   (uint16, native order)
     bytes 10..11  endianness probe (uint16 0xFEFF, native order — a
                   snapshot written on a machine of the other endianness
@@ -32,11 +28,10 @@ and the persistent precomputed-score store
                   {dtype, shape, offset} entries (offsets 16-aligned)
     ...           raw array bytes
 
-Array weights are bit-exact across the round trip (raw buffer copies,
-no re-serialization), so a kernel over a loaded snapshot scores
-identically to one over the in-memory build — the property the
-persistence suite pins down, and likewise a loaded score
-store answers bit-identically to the in-memory table it was built from.
+Array payloads are bit-exact across the round trip (raw buffer copies,
+no re-serialization), so a loaded score store answers bit-identically
+to the in-memory table it was built from — the property the score-store
+suite pins down.
 """
 
 from __future__ import annotations
@@ -51,33 +46,25 @@ import numpy as np
 
 from repro.obs import MetricsRegistry
 from repro.semantics.cache import PersistentScoreStore
-from repro.semantics.columnar import ColumnarIndex
 from repro.semantics.documents import Document, DocumentSet
 from repro.semantics.pvsm import ParametricVectorSpace
 
 __all__ = [
     "FORMAT_VERSION",
-    "COLUMNAR_FORMAT_VERSION",
     "SCORE_STORE_FORMAT_VERSION",
     "save_corpus",
     "load_corpus",
     "load_space",
     "corpus_digest",
-    "save_columnar",
-    "load_columnar",
     "save_score_store",
     "load_score_store",
 ]
 
 FORMAT_VERSION = 1
 
-#: Version of the binary columnar layout (bumped on any layout change).
-COLUMNAR_FORMAT_VERSION = 1
-
 #: Version of the binary score-store layout (bumped on any layout change).
 SCORE_STORE_FORMAT_VERSION = 1
 
-_COLUMNAR_MAGIC = b"REPROCOL"
 _SCORE_MAGIC = b"REPROSCT"
 #: Written in native byte order; reads back byte-swapped on the other
 #: endianness, which is exactly the rejection we want (the raw array
@@ -232,57 +219,6 @@ def _read_snapshot(
             shape=tuple(entry["shape"]),
         )
     return toc, views, digest
-
-
-def save_columnar(
-    columnar: ColumnarIndex, path: str | Path, *, digest: str
-) -> None:
-    """Write the columnar arrays as one binary snapshot (see module doc).
-
-    ``digest`` must be the :func:`corpus_digest` of the corpus the
-    arrays were built from; :func:`load_columnar` verifies it so workers
-    can never attach to a space built over a different corpus.
-    """
-    _write_snapshot(
-        path,
-        magic=_COLUMNAR_MAGIC,
-        version=COLUMNAR_FORMAT_VERSION,
-        digest=digest,
-        meta={
-            "corpus_size": columnar.corpus_size,
-            "vocabulary": list(columnar.vocabulary),
-        },
-        arrays=columnar.arrays(),
-    )
-
-
-def load_columnar(
-    path: str | Path, *, expected_digest: str | None = None
-) -> tuple[ColumnarIndex, str]:
-    """Attach a columnar snapshot zero-copy; returns ``(index, digest)``.
-
-    Array payloads come back as read-only ``np.memmap`` views — worker
-    processes share the page cache instead of materializing copies.
-    Verifies magic, layout version, endianness probe, and (when
-    ``expected_digest`` is given) the corpus digest.
-    """
-    toc, views, digest = _read_snapshot(
-        path,
-        magic=_COLUMNAR_MAGIC,
-        version=COLUMNAR_FORMAT_VERSION,
-        kind="columnar",
-        expected_digest=expected_digest,
-    )
-    columnar = ColumnarIndex(
-        tuple(toc["vocabulary"]),
-        views["indptr"],
-        views["doc_ids"],
-        views["freqs"],
-        views["tfidf"],
-        views["max_frequency"],
-        int(toc["corpus_size"]),
-    )
-    return columnar, digest
 
 
 def save_score_store(store: PersistentScoreStore, path: str | Path) -> None:

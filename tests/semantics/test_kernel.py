@@ -1,16 +1,16 @@
 """Parity contract of the vectorized relatedness kernel.
 
 The kernel (:mod:`repro.semantics.kernel`) reimplements projection and
-distance over columnar numpy arrays; everything downstream — the
-pipeline's bulk scoring stage, the warm-cache workers — trusts two
-properties pinned here:
+distance over columnar numpy arrays; the pipeline's bulk scoring stage
+trusts two properties pinned here:
 
-* **scalar parity**: for every (term, theme, term, theme) lookup, in
-  every (metric × normalize × recompute_idf × mode) configuration, the
-  kernel's score is within ``PARITY_TOLERANCE`` of the scalar
-  ``SparseVector`` path (projected weights are bit-identical by
-  construction; only the norm/dot summation order differs, measured at
-  ~1e-16 on the default corpus);
+* **scalar parity**: for every (term, theme, term, theme) lookup over
+  the toy corpus below, in every (metric × normalize × recompute_idf ×
+  mode) configuration, the kernel's score is within
+  ``PARITY_TOLERANCE`` of the scalar ``SparseVector`` path (projected
+  weights are bit-identical by construction; the distance step differs,
+  see the kernel module docstring for the larger error near-parallel
+  projections reach on the workload corpora);
 * **batch determinism**: ``score_batch`` over any list of lookups is
   *exactly* equal, float for float, to scoring each lookup alone — the
   kernel reduces with order-fixed ``einsum`` rows, never batch-shaped
@@ -26,7 +26,7 @@ from repro.obs import MetricsRegistry
 from repro.semantics.columnar import ColumnarIndex
 from repro.semantics.documents import DocumentSet
 from repro.semantics.kernel import PARITY_TOLERANCE, KernelMeasure, RelatednessKernel
-from repro.semantics.measures import CachedMeasure, NonThematicMeasure, ThematicMeasure
+from repro.semantics.measures import CachedMeasure, ThematicMeasure
 from repro.semantics.pvsm import ParametricVectorSpace
 
 TOY = DocumentSet.from_texts(
@@ -88,14 +88,6 @@ class TestScalarParity:
         space = _space(metric, normalize, recompute_idf)
         scalar = ThematicMeasure(space, mode=mode).score(*lookup)
         kernel = ThematicMeasure(space, mode=mode, vectorized=True).score(*lookup)
-        assert abs(kernel - scalar) <= PARITY_TOLERANCE
-
-    @given(lookup=lookups)
-    @settings(max_examples=60, deadline=None)
-    def test_nonthematic_kernel_matches_scalar(self, lookup):
-        space = _space("euclidean", True, True)
-        scalar = NonThematicMeasure(space).score(*lookup)
-        kernel = NonThematicMeasure(space, vectorized=True).score(*lookup)
         assert abs(kernel - scalar) <= PARITY_TOLERANCE
 
     def test_identical_terms_short_circuit_to_one(self):

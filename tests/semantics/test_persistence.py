@@ -1,8 +1,14 @@
 """Tests for corpus snapshots (save/load/verify)."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.semantics.documents import DocumentSet
 from repro.semantics.persistence import (
@@ -77,97 +83,17 @@ class TestValidation:
             load_corpus(path)
 
 
-class TestColumnarSnapshot:
-    """Binary zero-copy layout for the warm-cache spawn workers."""
-
-    @staticmethod
-    def _write(tmp_path):
-        import numpy as np
-
-        from repro.semantics.columnar import ColumnarIndex
-        from repro.semantics.index import InvertedIndex
-        from repro.semantics.persistence import save_columnar
-
-        columnar = ColumnarIndex.build(InvertedIndex.build(TOY))
-        path = tmp_path / "space.repro-col"
-        save_columnar(columnar, path, digest=corpus_digest(TOY))
-        return columnar, path, np
-
-    def test_round_trip_is_bit_identical_and_memory_mapped(self, tmp_path):
-        from repro.semantics.persistence import load_columnar
-
-        columnar, path, np = self._write(tmp_path)
-        loaded, digest = load_columnar(path)
-        assert digest == corpus_digest(TOY)
-        assert loaded.vocabulary == columnar.vocabulary
-        assert loaded.corpus_size == columnar.corpus_size
-        for name, array in columnar.arrays().items():
-            view = loaded.arrays()[name]
-            assert isinstance(view, np.memmap)
-            assert view.dtype == array.dtype
-            assert np.array_equal(view, array)
-
-    def test_kernel_over_snapshot_scores_identically(self, tmp_path):
-        from repro.semantics.kernel import KernelMeasure, RelatednessKernel
-        from repro.semantics.persistence import load_columnar
-
-        columnar, path, _ = self._write(tmp_path)
-        loaded, _ = load_columnar(path)
-        lookups = [
-            ("energy", ("energy",), "power", ("energy", "street")),
-            ("car", (), "street", ()),
-        ]
-        in_memory = KernelMeasure(RelatednessKernel(columnar))
-        mapped = KernelMeasure(RelatednessKernel(loaded))
-        assert in_memory.score_batch(lookups) == mapped.score_batch(lookups)
-
-    def test_rejects_digest_mismatch(self, tmp_path):
-        from repro.semantics.persistence import load_columnar
-
-        _, path, _ = self._write(tmp_path)
-        with pytest.raises(ValueError, match="digest mismatch"):
-            load_columnar(path, expected_digest="0" * 64)
-
-    def test_rejects_bad_magic(self, tmp_path):
-        from repro.semantics.persistence import load_columnar
-
-        _, path, _ = self._write(tmp_path)
-        raw = bytearray(path.read_bytes())
-        raw[:8] = b"NOTACOLF"
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="not a repro columnar"):
-            load_columnar(path)
-
-    def test_rejects_future_layout_version(self, tmp_path):
-        import struct
-
-        from repro.semantics.persistence import (
-            COLUMNAR_FORMAT_VERSION,
-            load_columnar,
-        )
-
-        _, path, _ = self._write(tmp_path)
-        raw = bytearray(path.read_bytes())
-        raw[8:10] = struct.pack("=H", COLUMNAR_FORMAT_VERSION + 1)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="layout version"):
-            load_columnar(path)
-
-    def test_rejects_opposite_endianness(self, tmp_path):
-        from repro.semantics.persistence import load_columnar
-
-        _, path, _ = self._write(tmp_path)
-        raw = bytearray(path.read_bytes())
-        raw[10:12] = bytes(reversed(raw[10:12]))  # byte-swapped probe
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="endianness"):
-            load_columnar(path)
-
-    def test_save_requires_a_real_digest(self, tmp_path):
-        from repro.semantics.columnar import ColumnarIndex
-        from repro.semantics.index import InvertedIndex
-        from repro.semantics.persistence import save_columnar
-
-        columnar = ColumnarIndex.build(InvertedIndex.build(TOY))
-        with pytest.raises(ValueError, match="64-char"):
-            save_columnar(columnar, tmp_path / "x.col", digest="abc")
+def test_import_repro_does_not_load_the_columnar_index():
+    """The columnar arrays are the opt-in kernel's alone: importing the
+    package (persistence included) must not pull them in."""
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    probe = "import sys, repro; print('repro.semantics.columnar' in sys.modules)"
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"

@@ -9,12 +9,16 @@ The precomputed scores' contract, property-checked over a toy corpus:
   :class:`~repro.semantics.measures.CachedMeasure` resolves memo ->
   backing store -> wrapped measure, for ``score`` and ``score_batch``,
   over a pre-filled memo, a store-backed memo, or both;
-* a save/load round trip is bit-identical and digest-guarded;
+* a save/load round trip is bit-identical, memory-mapped, and guarded
+  by magic, layout version, endianness and corpus digest;
 * the warmer's planned cross-product deduplicates symmetric pairs and
-  scores them exactly as the online kernel would, so a warmed engine
-  never sees a score the unwarmed kernel path would not have produced.
+  scores them with the online scalar measure, so a warmed engine never
+  sees a score the unwarmed engine would not have produced.
 """
 
+import struct
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,9 +32,9 @@ from repro.semantics.cache import (
     precompute_scores,
 )
 from repro.semantics.documents import DocumentSet
-from repro.semantics.kernel import KernelMeasure
 from repro.semantics.measures import CachedMeasure, ExactMeasure, ThematicMeasure
 from repro.semantics.persistence import (
+    SCORE_STORE_FORMAT_VERSION,
     corpus_digest,
     load_score_store,
     save_score_store,
@@ -212,6 +216,46 @@ class TestPersistence:
         path.write_bytes(b"NOTASTORE" + b"\x00" * 128)
         with pytest.raises(ValueError, match="not a repro score-store"):
             load_score_store(path)
+
+    def test_load_returns_read_only_memory_mapped_views(
+        self, reference, tmp_path
+    ):
+        _, store = reference
+        path = tmp_path / "scores.bin"
+        save_score_store(store, path)
+        loaded = load_score_store(path)
+        for name, array in store.arrays().items():
+            view = loaded.arrays()[name]
+            assert isinstance(view, np.memmap)
+            assert not view.flags.writeable
+            assert view.dtype == array.dtype
+            assert np.array_equal(view, array)
+
+    def test_rejects_future_layout_version(self, reference, tmp_path):
+        _, store = reference
+        path = tmp_path / "scores.bin"
+        save_score_store(store, path)
+        raw = bytearray(path.read_bytes())
+        raw[8:10] = struct.pack("=H", SCORE_STORE_FORMAT_VERSION + 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="layout version"):
+            load_score_store(path)
+
+    def test_rejects_opposite_endianness(self, reference, tmp_path):
+        _, store = reference
+        path = tmp_path / "scores.bin"
+        save_score_store(store, path)
+        raw = bytearray(path.read_bytes())
+        raw[10:12] = bytes(reversed(raw[10:12]))  # byte-swapped probe
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="endianness"):
+            load_score_store(path)
+
+    def test_save_requires_a_real_digest(self, reference, tmp_path):
+        table, _ = reference
+        store = PersistentScoreStore.build(table.scores, corpus_digest="abc")
+        with pytest.raises(ValueError, match="64-char"):
+            save_score_store(store, tmp_path / "scores.bin")
 
     def test_store_save_load_methods_round_trip(self, reference, tmp_path):
         _, store = reference
@@ -458,14 +502,15 @@ class TestWarmer:
         )
         assert len(lookups) == 2
 
-    def test_warm_table_matches_online_kernel_bitwise(self, toy_space):
+    def test_warm_table_matches_online_measure_exactly(self, toy_space):
         lookups = plan_lookups(
-            ("energy", "power", "car"),
-            ("storm", "office", "grid"),
-            [(("energy",), ("energy", "office"))],
+            ("energy", "power", "car", "desk", "laptop"),
+            ("storm", "office", "grid", "computer", "desk lamp"),
+            [(("energy",), ("energy", "office")), ((), ())],
         )
         table = warm_score_table(toy_space, lookups)
-        online = KernelMeasure(toy_space.kernel())
+        online = ThematicMeasure(toy_space)
+        assert len(table.scores) == len(lookups)
         for lookup in lookups:
             assert table.scores[cache_key(*lookup)] == online.score(*lookup)
 
@@ -479,7 +524,7 @@ class TestWarmer:
             [(("office",), ("office",))],
         )
         assert store.corpus_digest == corpus_digest(toy_space.documents)
-        online = KernelMeasure(toy_space.kernel())
+        online = ThematicMeasure(toy_space)
         got = stored(store, "laptop", ("office",), "computer", ("office",))
         assert got == online.score(
             "laptop", ("office",), "computer", ("office",)

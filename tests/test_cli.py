@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 from repro.cli import main
 
 EVENT = (
@@ -96,17 +98,22 @@ def test_evaluate_tiny(capsys):
 
 
 def test_warm_cache_round_trip(capsys, tmp_path):
-    """Build in-process, reload-verify, spot-check against the kernel."""
+    """Build, reload-verify, and check every planned lookup against the
+    online scalar measure: the store must hold exactly its scores."""
     out_path = tmp_path / "warm" / "scores.bin"
     code = main(
         ["warm-cache", "--scale", "tiny", "--out", str(out_path),
-         "--check-parity", "16"]
+         "--check-parity", "1000000"]
     )
     out = capsys.readouterr().out
     assert code == 0
     assert out_path.exists()
     assert "reload-verify ok" in out
-    assert "parity vs online kernel over 16 samples" in out
+    planned = re.search(r"-> (\d+) distinct pairs", out).group(1)
+    assert (
+        f"parity vs online scalar measure over {planned} samples: "
+        "0 mismatch(es)"
+    ) in out
 
 
 class TestTracing:

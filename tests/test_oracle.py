@@ -115,12 +115,13 @@ class Env:
 
     def matcher(self, case, oracle=False):
         """The case's matcher; with ``oracle`` its reference twin: same
-        knobs over the memoized measure (the kernel, for a store)."""
+        knobs over the memoized measure. A store was warmed with the
+        scalar measure, so its cases run scalar on both sides."""
         if case.source == "exact":
             return ExactMatcher()
         if case.source == "rewriting":
             return RewritingMatcher(self.thesaurus, max_rewrites=REWRITES)
-        kernel = case.source in ("kernel", "store")
+        kernel = case.source == "kernel"
         if oracle:
             measure = self.memos[kernel]
         else:
@@ -134,7 +135,7 @@ class Env:
     def reference(self, case):
         key = case.source
         if key not in ("exact", "rewriting"):
-            key = (key in ("kernel", "store"), key == "store", case.k, case.threshold)
+            key = (key == "kernel", key == "store", case.k, case.threshold)
         if key not in self.oracles:
             self.oracles[key] = Oracle(self.matcher(case, oracle=True))
         return Reference(self.oracles[key], None if case.mode == "exact" else self.anchors)
@@ -335,7 +336,7 @@ def workload(tiny_workload):
 @pytest.fixture(scope="module")
 def env(tiny_workload, thesaurus, workload, tmp_path_factory):
     """The store is warmed over the fixed workload; the state machine's
-    themed lookups miss it and fall through to the kernel."""
+    themed lookups miss it and fall through to the scalar measure."""
     (subs, events), _ = workload
     path = tmp_path_factory.mktemp("store") / "scores.bin"
     save_score_store(build_score_store(tiny_workload.space, subs, events, [((), ())]), path)
