@@ -83,6 +83,49 @@ class TestValidation:
             load_corpus(path)
 
 
+class TestColumnarSnapshot:
+    """Snapshot guards on the binary layout the columnar index used.
+
+    The columnar snapshot kind is retired; its framing (magic, version,
+    endianness probe, corpus digest) lives on for the score store. A
+    columnar file left on disk must be refused, not misread, and the
+    header digest must tie a snapshot to the corpus it was built from.
+    """
+
+    @staticmethod
+    def _write(tmp_path, documents=TOY):
+        from repro.semantics.cache import PersistentScoreStore, cache_key
+        from repro.semantics.persistence import save_score_store
+
+        scores = {cache_key("energy", (), "power", ()): 0.5}
+        store = PersistentScoreStore.build(
+            scores, corpus_digest=corpus_digest(documents)
+        )
+        path = tmp_path / "space.repro-col"
+        save_score_store(store, path)
+        return path
+
+    def test_rejects_digest_mismatch(self, tmp_path):
+        from repro.semantics.persistence import load_score_store
+
+        path = self._write(tmp_path)
+        other = DocumentSet.from_texts(["energy power grid", "parking street"])
+        with pytest.raises(ValueError, match="digest mismatch"):
+            load_score_store(path, expected_digest=corpus_digest(other))
+        loaded = load_score_store(path, expected_digest=corpus_digest(TOY))
+        assert loaded.corpus_digest == corpus_digest(TOY)
+
+    def test_rejects_bad_magic(self, tmp_path):
+        from repro.semantics.persistence import load_score_store
+
+        path = self._write(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[:8] = b"REPROCOL"  # the retired columnar kind's magic
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="not a repro score-store"):
+            load_score_store(path)
+
+
 def test_import_repro_does_not_load_the_columnar_index():
     """The columnar arrays are the opt-in kernel's alone: importing the
     package (persistence included) must not pull them in."""
