@@ -1,7 +1,7 @@
-"""Kernel-scaling ladder: scalar serial -> vectorized kernel -> shard pool.
+"""Kernel-scaling ladder: scalar serial -> vectorized kernel -> kernel shards.
 
 Not a paper figure: this bench measures what the vectorized relatedness
-kernel and the thread-pool shards buy over the serial scalar fig9
+kernel and the micro-batched shards buy over the serial scalar fig9
 front-end *without changing a single delivery*. Every timed run
 re-checks parity inside :func:`~repro.evaluation.compare_kernel_scaling`
 itself: the two kernel configurations must be **bit-identical** to one
@@ -16,11 +16,12 @@ Ladder rungs (all timed over the same themed fig9-style workload):
   broker core's delivery-gated dispatch);
 * ``serial_kernel`` — same serial broker, vectorized kernel (batch size
   is 1 per dispatch, so this rung isolates kernel overhead, not wins);
-* ``thread_shards`` — ShardedBroker on its thread pool, kernel: ingress
-  micro-batching feeds the pipeline whole batches (one kernel call each).
+* ``thread_shards`` — ShardedBroker, kernel: ingress micro-batching
+  feeds each shard's pipeline whole batches (one kernel call each), the
+  shards matched in turn on the dispatcher thread.
 
-On a 1-2 vCPU host the shard pool cannot overlap and the kernel's
-per-call overhead is not amortized at 24 subscriptions, so both kernel
+The kernel's per-call overhead is not amortized at 24 subscriptions,
+so both kernel
 rungs can read *below* the scalar serial rung. The run therefore
 asserts parity only and records each ratio next to the host's
 ``nproc``; whether the kernel earns its keep is answered from

@@ -4,8 +4,8 @@ Not a paper figure: this bench measures what subscription sharding +
 ingress micro-batching buy over the one-event-at-a-time front-end
 *without changing a single delivery*. Both brokers are ingress settings
 of one core and run the same delivery-gated pipeline, so the ratio is
-sharding and batching alone — and shard pools only overlap on spare
-cores, so it is recorded next to the host's ``nproc`` rather than
+sharding and batching alone (the shards are matched in turn on the
+dispatcher thread), recorded next to the host's ``nproc`` rather than
 asserted. Every timed run re-checks full delivery parity (sequence,
 event, score, alternatives, per-subscriber order) against
 :class:`~repro.broker.threaded.ThreadedBroker`; throughput without

@@ -37,11 +37,6 @@ class BrokerConfig:
         Ingress micro-batch size cap (sharded).
     linger:
         Seconds the batcher waits for the batch to fill (sharded).
-    workers:
-        Shard-scoring thread pool size (sharded). ``None`` sizes it to
-        ``min(shards, os.cpu_count())``, so a one-CPU host gets no pool
-        and matches inline; any value below 2 (``0`` included) forces
-        inline scoring.
     delivery:
         Default :class:`~repro.broker.reliability.DeliveryPolicy` for
         every subscriber (all brokers); per-subscription overrides via
@@ -91,7 +86,6 @@ class BrokerConfig:
     strategy: str = "hash"
     max_batch: int = 32
     linger: float = 0.001
-    workers: int | None = None
     delivery: DeliveryPolicy = DeliveryPolicy()
     degraded: DegradedPolicy | None = None
     dead_letter_capacity: int | None = None

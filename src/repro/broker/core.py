@@ -30,8 +30,8 @@ choices* over it and nothing else:
   shards, fed from a queue in micro-batches.
 
 Shards are in-process engines (:class:`~repro.broker.shards.EngineShards`),
-matched inline or on a thread pool; the core only places registrations
-on them and merges their survivors.
+matched in turn on the dispatching thread; the core only places
+registrations on them and merges their survivors.
 
 Three properties the tests pin down, for every front-end:
 
@@ -589,8 +589,7 @@ class BrokerCore:
         return 0
 
     def close(self) -> None:
-        """Stop the shard pool; flush and close the journal."""
-        self._shards.close()
+        """Flush and close the journal."""
         if self.durability is not None:
             self.durability.close()
 

@@ -1,4 +1,4 @@
-"""Sharded parallel broker: subscription shards + ingress micro-batching.
+"""Sharded broker: subscription shards + ingress micro-batching.
 
 :class:`ShardedBroker` is the queue-fed ingress
 (:class:`~repro.broker.ingress.QueuedBroker`) at scale-out settings —
@@ -7,7 +7,8 @@ echoed in the paper's prior work): the subscription set is partitioned
 into ``config.shards`` shards (see :mod:`repro.broker.shards`) and the
 ingress queue drains in adaptive micro-batches of up to
 ``config.max_batch`` events, one delivery-gated ``match_batch`` per
-(event-batch x shard).
+(event-batch x shard), the shards matched in turn on the dispatcher
+thread.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ __all__ = ["HashSharding", "ShardedBroker", "SizeBalancedSharding"]
 
 
 class ShardedBroker(QueuedBroker):
-    """Parallel broker: sharded subscriptions, micro-batched ingress.
+    """Sharded subscriptions, micro-batched ingress.
 
     Usage::
 

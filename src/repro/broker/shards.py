@@ -3,8 +3,8 @@
 The broker core (:mod:`repro.broker.core`) partitions its subscription
 set into N shards and never looks inside one: every shard operation
 goes through :class:`EngineShards` — one in-process
-:class:`~repro.core.engine.ThematicEventEngine` per shard, matched
-inline or fanned out over a thread pool.
+:class:`~repro.core.engine.ThematicEventEngine` per shard, matched in
+turn on the thread that dispatches the batch.
 
 Shard assignment is pluggable: :class:`HashSharding` (stable modulo
 placement, no rebalancing) or :class:`SizeBalancedSharding` (least-
@@ -16,9 +16,7 @@ rebalancing is invisible to subscribers.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from repro.broker.config import BrokerConfig, engine_config
@@ -26,9 +24,8 @@ from repro.core.engine import SubscriptionHandle, ThematicEventEngine
 from repro.core.events import Event
 from repro.core.matcher import MatchResult, ThematicMatcher
 from repro.core.subscriptions import Subscription
-from repro.obs import TRACER, MetricsRegistry
+from repro.obs import MetricsRegistry
 from repro.obs.clock import Clock
-from repro.obs.context import TraceContext
 
 __all__ = [
     "STRATEGIES",
@@ -115,23 +112,21 @@ class ShardSlot:
 
 
 class EngineShards:
-    """In-process shards: one engine each, inline or on a thread pool.
+    """In-process shards: one engine each, matched in turn.
 
     A single shard matches through the matcher's shared lazy pipeline
     and counts into the broker's own registry, so one registry snapshot
     covers ``broker.*``, ``engine.*`` and ``reliability.*`` alike.
     Several shards each get a private staged pipeline (per-shard
-    term-pair dedup and compiled subscriptions persist without
-    cross-shard locking) and a private registry, and match concurrently
-    on ``config.workers`` pool threads. ``None`` sizes the pool to
-    ``min(shards, os.cpu_count())``, so a one-CPU host matches inline;
-    any value below 2 (``0`` included) forces inline matching. All
-    calls are serialized by the broker core's registration lock.
+    term-pair dedup and compiled subscriptions) and a private registry,
+    and :meth:`deliverable` matches the non-empty ones one after another
+    on the calling thread, so their spans nest under the caller's
+    ``broker.match_batch`` span. All calls are serialized by the broker
+    core's registration lock.
 
     Matchers exposing ``new_pipeline`` (the
     :class:`~repro.core.matcher.ThematicMatcher` family) get the private
-    pipelines; others are called through their own ``match_batch``,
-    which must then be safe to call concurrently.
+    pipelines; others are called through their own ``match_batch``.
     """
 
     def __init__(
@@ -157,16 +152,6 @@ class EngineShards:
             )
             for index in range(shards)
         ]
-        workers = config.workers
-        if workers is None:
-            workers = min(shards, os.cpu_count() or 1)
-        self._pool = (
-            ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="shard-worker"
-            )
-            if workers > 1 and not single
-            else None
-        )
         self._handles: dict[int, SubscriptionHandle] = {}
 
     def subscribe(
@@ -189,36 +174,12 @@ class EngineShards:
         return [engine.subscription_count() for engine in self.engines]
 
     def deliverable(self, events: list[Event]) -> list[Survivor]:
-        active = [
-            engine for engine in self.engines if engine.subscription_count()
+        return [
+            (slot.order, j, result)
+            for engine in self.engines
+            if engine.subscription_count()
+            for j, slot, result in engine.survivors(events)
         ]
-        if self._pool is None or len(active) < 2:
-            return [
-                survivor
-                for engine in active
-                for survivor in self._survivors(engine, events, None)
-            ]
-        # Pool workers have no thread-local trace context; handing them
-        # the dispatcher's keeps the per-shard engine spans inside the
-        # batch's trace instead of orphaning them.
-        ctx = TRACER.current_context()
-        futures = [
-            self._pool.submit(self._survivors, engine, events, ctx)
-            for engine in active
-        ]
-        return [survivor for future in futures for survivor in future.result()]
-
-    @staticmethod
-    def _survivors(
-        engine: ThematicEventEngine,
-        events: list[Event],
-        ctx: TraceContext | None,
-    ) -> list[Survivor]:
-        with TRACER.activate(ctx):
-            return [
-                (slot.order, j, result)
-                for j, slot, result in engine.survivors(events)
-            ]
 
     def replay(
         self, shard: int, subscription: Subscription, retained: list[tuple[int, Event]]
@@ -232,6 +193,3 @@ class EngineShards:
     def shard_snapshots(self) -> list[dict[str, Any]]:
         return [engine.stats.registry.snapshot() for engine in self.engines]
 
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)

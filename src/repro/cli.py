@@ -468,7 +468,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             shards=args.shards,
             max_batch=8,
             linger=0.0,
-            workers=0,
             # A budget no tiny batch can blow: present in the snapshot,
             # silent in the run.
             degraded=DegradedPolicy(latency_budget=60.0),

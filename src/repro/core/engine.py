@@ -121,16 +121,6 @@ class SubscriptionHandle:
         if not self.key:
             self.key = stable_subscriber_key(self.id, self.subscription)
 
-    @property
-    def subscription_id(self) -> int:
-        """Engine-era alias for :attr:`id`."""
-        return self.id
-
-    @property
-    def subscriber_id(self) -> int:
-        """Broker-era alias for :attr:`id`."""
-        return self.id
-
     def append(self, item: Any) -> None:
         """Deliver one item into the inbox (thread-safe)."""
         with self._lock:
@@ -157,8 +147,10 @@ class EngineConfig:
     private_pipeline:
         Give this engine its own staged pipeline (when the matcher
         supports one) instead of the matcher's shared lazy instance.
-        Required when several engines over the same matcher run
-        concurrently — the sharded broker's layout.
+        The sharded broker's layout sets it: a pipeline drops its
+        compiled subscriptions once its table holds more than twice a
+        batch's subscriptions, so shards sharing one pipeline would
+        recompile each other's subscriptions from three shards on.
     span_tags:
         Extra attributes stamped on every pipeline span (e.g. a shard
         label); only meaningful with ``private_pipeline``.

@@ -205,8 +205,7 @@ def compare_broker_throughput(
             "batch_size": sharded_runs[-1].metrics["batch_size"],
         },
         "speedup": _mean(sharded_eps) / _mean(serial_eps),
-        # Shard pools only overlap on spare cores; a ratio is not
-        # comparable across hosts without this.
+        # Ratios are read against a baseline recorded on one host.
         "host_nproc": os.cpu_count(),
     }
 
@@ -248,7 +247,7 @@ def compare_kernel_scaling(
     max_subscriptions: int | None = None,
     seed: int = 99,
 ) -> dict:
-    """The kernel-scaling ladder: scalar serial -> kernel -> shard pool.
+    """The kernel-scaling ladder: scalar serial -> kernel -> kernel shards.
 
     Three configurations over one themed fig9-style workload, all timed
     with :func:`run_broker_workload`:
@@ -257,7 +256,8 @@ def compare_kernel_scaling(
       ``SparseVector`` measure: the reference fig9 serial number;
     * ``serial_kernel`` — the same serial broker scoring through the
       vectorized numpy kernel;
-    * ``thread_shards`` — sharded broker on its thread pool, kernel.
+    * ``thread_shards`` — sharded broker, kernel: its shards matched in
+      turn on the dispatcher thread, one micro-batch at a time.
 
     Parity is asserted, not reported: the two kernel configurations
     must produce **bit-identical** delivery signatures, and the scalar

@@ -270,7 +270,6 @@ def run_fault_injection(
         shards=shards,
         max_batch=max_batch,
         linger=0.0,
-        workers=0,
     )
     strict = plan.degraded is None
     report: dict = {

@@ -19,8 +19,8 @@ mints one context per published event (:meth:`Tracer.mint_trace`), opens
 the event's root span with :meth:`Tracer.root_span`, and passes the
 context along explicitly (queue tuples, :class:`Delivery` objects,
 dead-letter records). Within a thread, child spans inherit the current
-context automatically; crossing a thread (shard pool workers, dispatcher
-threads) uses :meth:`Tracer.activate` to re-establish it.
+context automatically; crossing a thread (the queued brokers' dispatcher
+thread) uses :meth:`Tracer.activate` to re-establish it.
 
 When tracing is **fully inactive** (the default) ``Tracer.span`` returns
 a shared no-op context manager and ``mint_trace`` returns ``None``: the
@@ -314,10 +314,6 @@ class Tracer:
         return TraceContext(
             trace_id=new_trace_id(), span_id=new_span_id(), sampled=sampled
         )
-
-    def current_context(self) -> TraceContext | None:
-        """The trace context active on this thread, if any."""
-        return getattr(self._local, "ctx", None)
 
     def activate(self, ctx: TraceContext | None) -> "_Activation | _NoopActivation":
         """Make ``ctx`` current for a block (cross-thread propagation)."""

@@ -42,7 +42,7 @@ class TestBrokerConfig:
     def test_one_config_fits_every_front_end(self, matcher):
         """A single config object constructs all three brokers."""
         config = BrokerConfig(replay_capacity=8, shards=2, max_batch=4,
-                              linger=0.0, workers=0)
+                              linger=0.0)
         serial = ThematicBroker(matcher, config)
         threaded = ThreadedBroker(matcher, config)
         sharded = ShardedBroker(matcher, config)
@@ -126,27 +126,21 @@ EVENTS = [
 ]
 
 
-def _shard_workers() -> set[threading.Thread]:
-    return {
-        thread
-        for thread in threading.enumerate()
-        if thread.name.startswith("shard-worker")
-    }
+class TestShardsMatchInline:
+    """Shards are matched in turn on the dispatcher, however many CPUs."""
 
+    def test_no_thread_but_the_dispatcher(self, space, matcher, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        started: list[threading.Thread] = []
+        start = threading.Thread.start
 
-class TestDefaultWorkers:
-    """``workers=None`` sizes the pool to ``min(shards, cpu_count)``."""
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
 
-    @pytest.mark.parametrize("cpus, pooled", [(1, False), (4, True)])
-    def test_pool_follows_cpu_count(
-        self, space, matcher, monkeypatch, cpus, pooled
-    ):
-        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
         reference = Reference(Oracle(ThematicMatcher(ThematicMeasure(space))))
-        before = _shard_workers()
-        with ShardedBroker(
-            matcher, BrokerConfig(shards=4, workers=None, linger=0.0)
-        ) as broker:
+        with ShardedBroker(matcher, BrokerConfig(shards=4, linger=0.0)) as broker:
             handles = [broker.subscribe(s) for s in SUBSCRIPTIONS]
             for handle in handles:
                 reference.subscribe(handle.id, handle.subscription)
@@ -155,7 +149,7 @@ class TestDefaultWorkers:
                 reference.publish(event)
             assert broker.flush(timeout=60), "broker did not drain"
             assert sum(1 for load in broker.shard_sizes() if load) >= 2
-            assert bool(_shard_workers() - before) is pooled
+        assert [thread.name for thread in started] == [ShardedBroker.thread_name]
         assert reference.stream
         for handle in handles:
             assert [

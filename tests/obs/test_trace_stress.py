@@ -105,9 +105,7 @@ def run_traced(workload, kind, plan, policy=POLICY):
     injector = FaultInjector(plan, clock=clock)
     matcher = thematic_matcher_factory(workload)()
     matcher.measure = injector.wrap_measure(matcher.measure)
-    config = BrokerConfig(
-        delivery=policy, shards=2, max_batch=8, linger=0.0, workers=0
-    )
+    config = BrokerConfig(delivery=policy, shards=2, max_batch=8, linger=0.0)
     broker = _build_broker(kind, matcher, config, clock)
     sink = io.StringIO()
     # Every dead letter here is scripted; keep the log quiet.

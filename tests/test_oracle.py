@@ -53,12 +53,12 @@ class Case(NamedTuple):
     threshold: float
     durable: bool = False
     fault: str = "none"
-    layout: tuple = (1, 1, "hash", 0)  # shards, max_batch, strategy, workers
+    layout: tuple = (1, 1, "hash")  # shards, max_batch, strategy
 
     def __str__(self):
         parts = [self.host, self.mode, self.source, f"k{self.k}", f"t{self.threshold}"]
         if self.host == "sharded":
-            parts.append("s{}b{}{}w{}".format(*self.layout))
+            parts.append("s{}b{}{}".format(*self.layout))
         return "-".join(parts + ["durable"] * self.durable + [self.fault] * (self.fault != "none"))
 
 
@@ -67,7 +67,7 @@ class Case(NamedTuple):
 #: in "exact" (their only mode). Each host sees both k and both thresholds
 #: (exact-mode thematic rows mostly at 0.0, where zero scores deliver);
 #: each broker runs durable and not, and every fault; the sharded layouts
-#: cover shards 2-3 × max_batch 1/8 × hash/size × workers 0/2.
+#: cover shards 2-3 × max_batch 1/8 × hash/size.
 CASES = [
     Case("process", "exact", "scalar", 1, 0.0),
     Case("process", "semantic", "cached", 2, 0.5),
@@ -93,12 +93,12 @@ CASES = [
     Case("threaded", "ann", "store", 1, 0.0, True),
     Case("threaded", "exact", "exact", 2, 0.5, False, "flaky"),
     Case("threaded", "exact", "rewriting", 1, 0.5, True, "raise"),
-    Case("sharded", "exact", "scalar", 1, 0.0, layout=(3, 8, "hash", 0)),
-    Case("sharded", "semantic", "cached", 2, 0.0, True, "flaky", (2, 8, "size", 2)),
-    Case("sharded", "ann", "kernel", 1, 0.0, False, "raise", (2, 1, "size", 2)),
-    Case("sharded", "ann@0.25", "store", 2, 0.5, True, layout=(2, 8, "hash", 0)),
-    Case("sharded", "exact", "exact", 1, 0.5, False, "flaky", (3, 1, "size", 0)),
-    Case("sharded", "exact", "rewriting", 2, 0.0, True, "raise", (3, 8, "size", 2)),
+    Case("sharded", "exact", "scalar", 1, 0.0, layout=(3, 8, "hash")),
+    Case("sharded", "semantic", "cached", 2, 0.0, True, "flaky", (2, 8, "size")),
+    Case("sharded", "ann", "kernel", 1, 0.0, False, "raise", (2, 1, "size")),
+    Case("sharded", "ann@0.25", "store", 2, 0.5, True, layout=(2, 8, "hash")),
+    Case("sharded", "exact", "exact", 1, 0.5, False, "flaky", (3, 1, "size")),
+    Case("sharded", "exact", "rewriting", 2, 0.0, True, "raise", (3, 8, "size")),
 ]
 
 
@@ -151,9 +151,9 @@ class Env:
         if case.host.startswith("process"):
             engine = ThematicEventEngine(self.matcher(case), EngineConfig(**fields))
             return EngineHost(engine, batched=case.host == "process_batch")
-        shards, max_batch, strategy, workers = case.layout
+        shards, max_batch, strategy = case.layout
         config = BrokerConfig(
-            shards=shards, max_batch=max_batch, strategy=strategy, workers=workers,
+            shards=shards, max_batch=max_batch, strategy=strategy,
             linger=0.01, **fields,
             durability=DurabilityPolicy(directory, fsync="never") if case.durable else None,
         )

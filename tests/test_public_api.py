@@ -102,7 +102,6 @@ CONFIG_FIELDS = {
         "strategy",
         "max_batch",
         "linger",
-        "workers",
         "delivery",
         "degraded",
         "dead_letter_capacity",
